@@ -11,6 +11,7 @@ concrete matching.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -152,7 +153,8 @@ def extract_once(g: Graph, params: ExtractionParams, rng: np.random.Generator,
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
     partition, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
-    in_graph = [p for p in partition.pairs if g.has_edge(*p)]
+    ends = np.array(partition.pairs).T
+    in_graph = list(compress(partition.pairs, g.has_edges(ends[0], ends[1])))
     matching = Matching(tuple(sorted(_uniform_subset(in_graph, t, rng))))
     count = nonadjacent_pairs(g, matching)
     report = TrialReport(seed, attempts, len(in_graph), count,

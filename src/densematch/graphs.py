@@ -1,13 +1,17 @@
 """Immutable simple graphs with bitset adjacency rows.
 
 Vertices are the dense range ``0..n-1``.  Each adjacency row is a Python int
-used as a bitset: bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge.  All
-operations treat graphs as read-only values, so instances are safe to share
-between threads.
+used as a bitset: bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge.  The
+same rows are also available as a packed ``uint8`` matrix, built on first
+use, for vectorised lookups.  All operations treat graphs as read-only
+values, so instances are safe to share between threads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 MAX_VERTICES = 1 << 20
 
@@ -18,6 +22,11 @@ def iter_bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _bit_in_byte(v: np.ndarray) -> np.ndarray:
+    """Mask selecting vertex ``v`` inside its byte of a packed row."""
+    return np.uint8(1) << (v & 7).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,42 @@ class Graph:
             for off in iter_bits(high):
                 yield u, u + 1 + off
 
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """Read-only ``n x ceil(n/8)`` ``uint8`` copy of the rows, built on first use.
+
+        Bit ``v`` of row ``u`` is bit ``v % 8`` of byte ``v // 8``
+        (little-endian), so row ``u`` holds the bytes of ``rows[u]``.
+        """
+        nbytes = (self.n + 7) // 8
+        buf = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
+        return np.frombuffer(buf, np.uint8).reshape(self.n, nbytes)
+
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Elementwise ``has_edge`` over two equal-shape integer index arrays."""
+        return self.packed[u, v >> 3] & _bit_in_byte(v) != 0
+
+    def adjacency_among(self, vertices: np.ndarray) -> np.ndarray:
+        """Boolean adjacency matrix among ``vertices``, in the given order.
+
+        Gathers the rows first, then the columns, so the cost scales with
+        ``len(vertices)`` rather than with ``n``.
+        """
+        return self.packed[vertices][:, vertices >> 3] & _bit_in_byte(vertices) != 0
+
+    @cached_property
+    def _alpha_at_most_2(self) -> bool:
+        # complement is triangle-free: no complement edge has a common
+        # complement-neighbour, checked by row intersections
+        co = complement(self)
+        for u in range(co.n):
+            row_u = co.rows[u]
+            high = row_u >> (u + 1)
+            for off in iter_bits(high):
+                if row_u & co.rows[u + 1 + off]:
+                    return False
+        return True
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -73,12 +118,15 @@ class Matching:
 def graph_from_rows(n: int, rows) -> Graph:
     """Build a graph from prepared bitset rows.
 
-    Rows must already be symmetric; only the cheap checks (loop bits, even
-    total popcount) run here.  Generators use this to skip edge-list costs.
+    Rows must already be symmetric; only the cheap checks (bits outside
+    ``0..n-1``, loop bits, even total popcount) run here.  Generators use this
+    to skip edge-list costs.
     """
     rows = tuple(rows)
     total = 0
     for v, row in enumerate(rows):
+        if row >> n:
+            raise ValueError(f"row {v} has bits outside vertices 0..{n - 1}")
         if (row >> v) & 1:
             raise ValueError(f"row {v} carries a self-loop bit")
         total += row.bit_count()
@@ -117,17 +165,10 @@ def complement(g: Graph) -> Graph:
 def is_alpha_at_most_2(g: Graph) -> bool:
     """True iff no three vertices are pairwise non-adjacent.
 
-    Equivalently the complement is triangle-free, so scan each complement
-    edge for a common complement-neighbour via row intersections.
+    Equivalently the complement is triangle-free.  The scan runs once per
+    graph; later calls on the same object return the stored answer.
     """
-    co = complement(g)
-    for u in range(co.n):
-        row_u = co.rows[u]
-        high = row_u >> (u + 1)
-        for off in iter_bits(high):
-            if row_u & co.rows[u + 1 + off]:
-                return False
-    return True
+    return g._alpha_at_most_2
 
 
 def min_degree(g: Graph) -> int:

@@ -146,15 +146,10 @@ def sample_edge_heavy_partition(g: Graph, threshold: int,
         raise ValueError("threshold must be nonnegative")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    rows = g.rows
     for attempt in range(1, max_attempts + 1):
-        order = rng.permutation(n).tolist()
-        count = 0
-        for i in range(0, n, 2):
-            a = order[i]
-            b = order[i + 1]
-            count += (rows[a] >> b) & 1
-        if count >= threshold:
-            pairs = tuple(_norm(order[i], order[i + 1]) for i in range(0, n, 2))
+        order = rng.permutation(n)
+        a, b = order[0::2], order[1::2]
+        if np.count_nonzero(g.has_edges(a, b)) >= threshold:
+            pairs = tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
             return Partition(pairs), attempt
     raise SamplingFailure(max_attempts)

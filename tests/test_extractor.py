@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from densematch import (ExtractionParams, ParameterError, SamplingFailure,
+                        c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         count_bad_quadruples, derive_params, extract_best,
                         extract_once, from_edge_list, nonadjacent_pairs,
@@ -219,6 +221,21 @@ class TestExtractBest:
         _, ra = extract_best(g, 8.0, 10, 8, master_seed=11)
         _, rb = extract_best(g, 8.0, 10, 8, master_seed=12)
         assert [r.seed for r in ra] != [r.seed for r in rb]
+
+    def test_golden_output(self):
+        # pinned before scoring and sampling moved to the packed rows; the
+        # odd order 801 exercises the parity fix
+        graphs = [complement_of_random_triangle_free(801, 5),
+                  complement_of_random_triangle_free(1600, 9),
+                  c5_blowup_complement([16, 16, 16, 16, 736]),
+                  complete_graph(1001)]
+        digest = hashlib.sha256()
+        for g in graphs:
+            for master_seed in range(4):
+                out = extract_best(g, 8.0, 100, 5, master_seed, max_attempts=1000)
+                digest.update(repr(out).encode())
+        assert digest.hexdigest() == (
+            "e1016228d1eef7992d7b3d0497f684bead2508f22d2d3e6a2609bc096c20fb9c")
 
 
 class TestTrialSeed:

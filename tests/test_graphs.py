@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from densematch import (MAX_VERTICES, Graph, Matching, complement, delete_vertex,
-                        format_edge_list, from_edge_list, is_alpha_at_most_2,
-                        max_degree, min_degree, parse_edge_list, read_edge_list,
-                        sets_adjacent, two_cliques, write_edge_list)
+from densematch import (MAX_VERTICES, Graph, Matching, complement,
+                        complement_of_random_triangle_free, delete_vertex,
+                        format_edge_list, from_edge_list, graph_from_rows,
+                        is_alpha_at_most_2, max_degree, min_degree,
+                        parse_edge_list, read_edge_list, sets_adjacent,
+                        two_cliques, write_edge_list)
 from helpers import brute_alpha_at_most_2, random_graph
 
 
@@ -56,6 +58,64 @@ class TestFromEdgeList:
         assert sum(row.bit_count() for row in g.rows) == 2 * g.m
 
 
+class TestGraphFromRows:
+    def test_bit_at_or_above_n_rejected(self):
+        with pytest.raises(ValueError, match="row 0 has bits outside"):
+            graph_from_rows(2, [0b100, 0b100])
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError, match="row 1 has bits outside"):
+            graph_from_rows(2, [0, -1])
+
+    def test_top_vertex_accepted(self):
+        g = graph_from_rows(9, [1 << 8] + [0] * 7 + [1])
+        assert list(g.edges()) == [(0, 8)]
+
+
+def _packed_test_graphs():
+    rng = np.random.default_rng(808)
+    for n in (0, 1, 7, 8, 9, 17):
+        yield random_graph(n, 0.5, rng)
+        if n:
+            yield complement_of_random_triangle_free(n, seed=n)
+
+
+class TestPackedView:
+    def test_agrees_with_has_edge(self):
+        for g in _packed_test_graphs():
+            assert g.packed.shape == (g.n, (g.n + 7) // 8)
+            assert g.packed.dtype == np.uint8
+            bits = np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
+            expect = np.array([[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)],
+                              dtype=bool).reshape(g.n, g.n)
+            assert np.array_equal(bits.astype(bool), expect)
+            u, v = np.divmod(np.arange(g.n * g.n), max(g.n, 1))
+            assert np.array_equal(g.has_edges(u, v), expect.ravel())
+            order = np.random.default_rng(g.n).permutation(g.n)
+            assert np.array_equal(g.adjacency_among(order), expect[np.ix_(order, order)])
+
+    def test_read_only(self):
+        g = two_cliques(5)
+        assert not g.packed.flags.writeable
+        with pytest.raises(ValueError):
+            g.packed[0, 0] = 0
+
+    def test_built_once_and_only_on_use(self):
+        g = two_cliques(5)
+        assert "packed" not in vars(g)
+        assert g.packed is g.packed
+
+    def test_caches_leave_value_semantics_alone(self):
+        g = complement_of_random_triangle_free(17, seed=3)
+        twin = Graph(g.n, g.rows, g.m)
+        before = (repr(g), hash(g))
+        g.packed
+        is_alpha_at_most_2(g)
+        assert (repr(g), hash(g)) == before
+        assert g == twin and twin == g
+        assert hash(g) == hash(twin) and repr(g) == repr(twin)
+
+
 class TestComplement:
     def test_k4(self):
         g = complement(from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
@@ -94,6 +154,14 @@ class TestAlphaAtMostTwo:
             n = int(rng.integers(1, 11))
             g = random_graph(n, float(rng.uniform(0.2, 0.95)), rng)
             assert is_alpha_at_most_2(g) == brute_alpha_at_most_2(g), f"instance {i}"
+
+    def test_memoised_answer_agrees_with_triple_scan(self):
+        rng = np.random.default_rng(20250)
+        for i in range(200):
+            g = random_graph(int(rng.integers(1, 11)), float(rng.uniform(0.2, 0.95)), rng)
+            expect = brute_alpha_at_most_2(g)
+            assert is_alpha_at_most_2(g) == expect, f"instance {i}"
+            assert is_alpha_at_most_2(g) == expect, f"instance {i}, cached"
 
     def test_degree_identity_when_alpha_small(self):
         # non-neighbours of a vertex form a clique, forcing high minimum degree

@@ -45,6 +45,31 @@ class TestNonadjacentPairs:
         with pytest.raises(ValueError, match="invalid edge"):
             validate_matching(g, Matching(((2, 2),)))
 
+    def test_invalid_matchings_rejected_before_packing(self):
+        bad = {"not an edge": [(0, 3)], "reuses": [(0, 1), (1, 2)],
+               "invalid edge": [(0, 6)]}
+        for message, pairs in bad.items():
+            g = two_cliques(3)
+            with pytest.raises(ValueError, match=message):
+                nonadjacent_pairs(g, Matching.from_pairs(pairs))
+            assert "packed" not in vars(g)
+
+    def test_packed_and_scan_agree_across_byte_boundaries(self):
+        n = 34
+        # (7, 8), (15, 16), ... first: every byte boundary of the packed rows
+        # falls inside a matched edge, then the rest of a perfect matching
+        starts = [7, 15, 23, 31] + [s for s in range(1, n, 2) if s not in (7, 15, 23, 31)]
+        perfect = [(s, (s + 1) % n) for s in starts]
+        rng = np.random.default_rng(34)
+        for p in (0.05, 0.3, 0.7):
+            base = random_graph(n, p, rng)
+            g = from_edge_list(n, list(base.edges()) + perfect)
+            for t in (0, 1, 2, n // 2):
+                m = Matching.from_pairs(perfect[:t])
+                fast = nonadjacent_pairs(g, m)
+                assert fast == nonadjacent_pairs_scan(g, m), (p, t)
+                assert fast == count_nonadjacent_pairs_naive(g, m.edges), (p, t)
+
     def test_bitset_and_scan_agree(self):
         rng = np.random.default_rng(42)
         for _ in range(150):
