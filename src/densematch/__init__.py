@@ -4,46 +4,28 @@ A desk-scale library around one randomised procedure - partition the
 vertices into pairs, condition on many pairs being edges, pick a matching
 uniformly from those edges - together with the exact combinatorial oracles
 needed to verify its probability laws and score its output.
+
+The names below are the documented entry points; everything else is
+imported from its submodule.
 """
 
-from .errors import InfeasibleError, ParameterError, SamplingFailure, SizeLimitError
-from .extractor import (ExtractionParams, TrialReport, derive_params, extract_best,
-                        extract_once, optimal_slack, prepare_extraction, trial_seed)
+from .extractor import derive_params, extract_best, extract_once, optimal_slack
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
-from .graphs import (MAX_VERTICES, Graph, Matching, complement, delete_vertex,
-                     format_edge_list, from_edge_list, graph_from_rows,
-                     is_alpha_at_most_2, max_degree, min_degree, parse_edge_list,
-                     read_edge_list, sets_adjacent, write_edge_list)
-from .harness import (CSV_COLUMNS, ExperimentConfig, ExperimentSummary,
-                      configs_from_json, render_csv, render_json, run_experiment,
-                      summary_to_dict, sweep, sweep_results)
-from .oracles import (BadQuadrupleCount, clique_bound_audit, clique_number,
-                      connected_matching_number, count_bad_quadruples,
-                      is_connected_matching, matching_from_clique,
-                      min_nonadjacent_matching, nonadjacent_pairs,
-                      nonadjacent_pairs_scan, validate_matching)
-from .sampling import (DEFAULT_MAX_ATTEMPTS, Partition, count_intersection,
-                       empirical_deviation_rate, pair_inclusion_frequencies,
-                       sample_edge_heavy_partition, sample_partition)
+from .graphs import Graph, Matching, is_alpha_at_most_2, read_edge_list, write_edge_list
+from .harness import ExperimentConfig, build_family, run_experiment, sweep
+from .oracles import (clique_bound_audit, clique_number, connected_matching_number,
+                      count_bad_quadruples, matching_from_clique,
+                      min_nonadjacent_matching, nonadjacent_pairs)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadQuadrupleCount", "CSV_COLUMNS", "DEFAULT_MAX_ATTEMPTS", "ExperimentConfig",
-    "ExperimentSummary", "ExtractionParams", "Graph", "InfeasibleError",
-    "MAX_VERTICES", "Matching", "ParameterError", "Partition", "SamplingFailure",
-    "SizeLimitError", "TrialReport", "c5_blowup_complement", "clique_bound_audit",
-    "clique_number", "complement", "complement_of_random_triangle_free",
-    "complete_graph", "configs_from_json", "connected_matching_number",
-    "count_bad_quadruples", "count_intersection", "delete_vertex", "derive_params",
-    "empirical_deviation_rate", "extract_best", "extract_once", "format_edge_list",
-    "from_edge_list", "graph_from_rows", "is_alpha_at_most_2",
-    "is_connected_matching", "matching_from_clique", "max_degree", "min_degree",
-    "min_nonadjacent_matching", "nonadjacent_pairs", "nonadjacent_pairs_scan",
-    "optimal_slack", "pair_inclusion_frequencies", "parse_edge_list",
-    "prepare_extraction", "read_edge_list", "render_csv", "render_json",
-    "run_experiment", "sample_edge_heavy_partition", "sample_partition",
-    "sets_adjacent", "summary_to_dict", "sweep", "sweep_results", "trial_seed",
-    "two_cliques", "validate_matching", "write_edge_list",
+    "ExperimentConfig", "Graph", "Matching", "build_family", "c5_blowup_complement",
+    "clique_bound_audit", "clique_number", "complement_of_random_triangle_free",
+    "complete_graph", "connected_matching_number", "count_bad_quadruples",
+    "derive_params", "extract_best", "extract_once", "is_alpha_at_most_2",
+    "matching_from_clique", "min_nonadjacent_matching", "nonadjacent_pairs",
+    "optimal_slack", "read_edge_list", "run_experiment", "sweep", "two_cliques",
+    "write_edge_list",
 ]

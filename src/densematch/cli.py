@@ -12,16 +12,15 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import InfeasibleError, ParameterError, SamplingFailure, SizeLimitError
+from .errors import SamplingFailure
 from .extractor import extract_best, prepare_extraction
-from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
-                         complete_graph, two_cliques)
 from .graphs import format_edge_list, read_edge_list
 from .oracles import (clique_bound_audit, clique_number, connected_matching_number,
                       count_bad_quadruples, min_nonadjacent_matching)
 
-_USER_ERRORS = (ValueError, ParameterError, SizeLimitError, InfeasibleError,
-                SamplingFailure, OSError, json.JSONDecodeError)
+# every other user-facing error (bad parameters, size limits, infeasible
+# requests, malformed JSON) is a ValueError subclass
+_USER_ERRORS = (ValueError, SamplingFailure, OSError)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -31,7 +30,9 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str | None) -> tuple[int, ...] | None:
+    if text is None:
+        return None
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -39,42 +40,25 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "two-cliques":
-        if args.n is None or args.n % 2:
-            raise ValueError("two-cliques needs an even --n")
-        g = two_cliques(args.n // 2)
-    elif args.family == "rtf":
-        if args.n is None:
-            raise ValueError("rtf needs --n")
-        g = complement_of_random_triangle_free(args.n, args.seed)
-    elif args.family == "c5":
-        if args.parts is None:
-            raise ValueError("c5 needs --parts a,b,c,d,e")
-        g = c5_blowup_complement(_parse_parts(args.parts))
-    else:
-        if args.n is None:
-            raise ValueError("complete needs --n")
-        g = complete_graph(args.n)
+    g = harness.build_family(args.family, args.n, _parse_parts(args.parts), args.seed)
     _write_text(format_edge_list(g), args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
-    limit = args.limit
+    limit = {} if args.limit is None else {"limit": args.limit}
     if args.op == "cm":
-        value = connected_matching_number(g, **({"limit": limit} if limit else {}))
-        doc = {"op": "cm", "n": g.n, "value": value}
+        doc = {"op": "cm", "n": g.n, "value": connected_matching_number(g, **limit)}
     elif args.op == "omega":
-        value = clique_number(g, **({"limit": limit} if limit else {}))
-        doc = {"op": "omega", "n": g.n, "value": value}
+        doc = {"op": "omega", "n": g.n, "value": clique_number(g, **limit)}
     elif args.op == "badquads":
         result = count_bad_quadruples(g)
         doc = {"op": "badquads", "n": g.n, "count": result.count, "bound": result.bound}
     elif args.op == "minmatch":
         if args.t is None:
             raise ValueError("minmatch needs --t")
-        matching, count = min_nonadjacent_matching(g, args.t, **({"limit": limit} if limit else {}))
+        matching, count = min_nonadjacent_matching(g, args.t, **limit)
         doc = {"op": "minmatch", "n": g.n, "t": args.t, "value": count,
                "matching": [[u, v] for u, v in matching.edges]}
     else:
@@ -130,7 +114,7 @@ def _cmd_experiment(args) -> int:
             trials=args.trials if args.trials is not None else 1,
             master_seed=args.seed if args.seed is not None else 0,
             n=args.n,
-            parts=_parse_parts(args.parts) if args.parts is not None else None,
+            parts=_parse_parts(args.parts),
         )]
     results = harness.sweep_results(configs, max_workers=args.workers)
     for cfg, summary, error in results:

@@ -118,6 +118,16 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
     return g, derive_params(ratio, t, optimal_slack(ratio, t))
 
 
+def check_run_args(c: float, t: int, trials: int) -> None:
+    """Raise ValueError unless ``c > 4``, ``t >= 1`` and ``trials >= 1``."""
+    if not c > 4:
+        raise ValueError(f"c must exceed 4 (got {c})")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def trial_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit seed for trial ``index`` under ``master_seed``."""
     if master_seed < 0 or index < 0:
@@ -174,12 +184,7 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     aggregated :class:`SamplingFailure` only if every trial exhausts its
     attempts.
     """
-    if not c > 4:
-        raise ValueError(f"c must exceed 4 (got {c})")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_run_args(c, t, trials)
     if g_raw.n + 1e-9 < c * t:
         raise ValueError(f"graph order {g_raw.n} is below c*t = {c * t:.6g}")
     if not is_alpha_at_most_2(g_raw):

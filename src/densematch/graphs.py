@@ -49,9 +49,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self):
         """Yield the edges as ``(u, v)`` pairs with ``u < v``, sorted."""
         for u in range(self.n):

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .extractor import ExtractionParams, extract_best, prepare_extraction
+from .extractor import ExtractionParams, check_run_args, extract_best, prepare_extraction
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
 from .graphs import Graph
@@ -29,6 +29,34 @@ CSV_COLUMNS = [
     "threshold", "trials", "acceptance_rate", "bound", "bound_density",
     "asymptotic_density", "best", "mean", "median", "seed", "wall_ms", "error",
 ]
+
+
+def _check_family(family: str, n: int | None, parts) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "c5":
+        if parts is None:
+            raise ValueError("family c5 needs parts")
+    elif n is None:
+        raise ValueError(f"family {family} needs n")
+    elif family == "two-cliques" and n % 2:
+        raise ValueError("family two-cliques needs an even n")
+
+
+def build_family(family: str, n: int | None, parts, seed: int) -> Graph:
+    """Instance of ``family``: ``n`` vertices, or c5 ``parts``; ``seed`` is for rtf.
+
+    Calls the generators bound at import, so one build is one generator call
+    even where the ``generators`` module attributes are wrapped.
+    """
+    _check_family(family, n, parts)
+    if family == "two-cliques":
+        return two_cliques(n // 2)
+    if family == "rtf":
+        return complement_of_random_triangle_free(n, seed)
+    if family == "c5":
+        return c5_blowup_complement(parts)
+    return complete_graph(n)
 
 
 @dataclass(frozen=True)
@@ -49,21 +77,8 @@ class ExperimentConfig:
     graph_seed: int | None = None
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not self.c > 4:
-            raise ValueError(f"c must exceed 4 (got {self.c})")
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.family == "c5":
-            if self.parts is None:
-                raise ValueError("family c5 needs parts")
-        elif self.n is None:
-            raise ValueError(f"family {self.family} needs n")
-        if self.family == "two-cliques" and self.n is not None and self.n % 2:
-            raise ValueError("family two-cliques needs an even n")
+        _check_family(self.family, self.n, self.parts)
+        check_run_args(self.c, self.t, self.trials)
 
     def effective_graph_seed(self) -> int:
         return self.master_seed if self.graph_seed is None else self.graph_seed
@@ -83,13 +98,7 @@ class ExperimentConfig:
         return self.n
 
     def build_graph(self) -> Graph:
-        if self.family == "two-cliques":
-            return two_cliques(self.n // 2)
-        if self.family == "rtf":
-            return complement_of_random_triangle_free(self.n, self.effective_graph_seed())
-        if self.family == "c5":
-            return c5_blowup_complement(self.parts)
-        return complete_graph(self.n)
+        return build_family(self.family, self.n, self.parts, self.effective_graph_seed())
 
 
 @dataclass(frozen=True)
@@ -182,6 +191,8 @@ def sweep_results(configs, max_workers: int = 1):
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
+    if max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(_run_safe, configs))
@@ -190,47 +201,37 @@ def sweep_results(configs, max_workers: int = 1):
     return [(cfg, summary, error) for cfg, (summary, error) in zip(configs, outcomes)]
 
 
+def _row(cfg: ExperimentConfig, summary: ExperimentSummary | None, error: str | None) -> dict:
+    """One result as a dict in CSV column order; unknown values are left out."""
+    if error is None:
+        return summary_to_dict(summary)
+    data = {
+        "family": cfg.family,
+        "params": cfg.family_params(),
+        "n": cfg.total_vertices(),
+        "c": cfg.c,
+        "t": cfg.t,
+        "trials": cfg.trials,
+        "seed": cfg.master_seed,
+        "error": error,
+    }
+    return {key: value for key, value in data.items() if value is not None}
+
+
 def render_csv(results) -> str:
     """One CSV row per result in the fixed documented column order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for cfg, summary, error in results:
-        if error is None:
-            data = summary_to_dict(summary)
-            data["error"] = ""
-        else:
-            data = {
-                "family": cfg.family,
-                "params": cfg.family_params(),
-                "n": cfg.total_vertices(),
-                "c": cfg.c,
-                "t": cfg.t,
-                "trials": cfg.trials,
-                "seed": cfg.master_seed,
-                "error": error,
-            }
-        writer.writerow([data.get(col, "") if data.get(col) is not None else "" for col in CSV_COLUMNS])
+    for result in results:
+        row = _row(*result)
+        writer.writerow([row.get(col, "") for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def render_json(results) -> str:
     """JSON document for the same results (timing deliberately excluded)."""
-    docs = []
-    for cfg, summary, error in results:
-        if error is None:
-            docs.append(summary_to_dict(summary))
-        else:
-            docs.append({
-                "family": cfg.family,
-                "params": cfg.family_params(),
-                "c": cfg.c,
-                "t": cfg.t,
-                "trials": cfg.trials,
-                "seed": cfg.master_seed,
-                "error": error,
-            })
-    return json.dumps(docs, indent=2) + "\n"
+    return json.dumps([_row(*result) for result in results], indent=2) + "\n"
 
 
 def sweep(configs, max_workers: int = 1) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, SizeLimitError
-from .graphs import Graph, Matching, complement, is_alpha_at_most_2, iter_bits
+from .graphs import Graph, Matching, complement, is_alpha_at_most_2, iter_bits, min_degree
 
 CM_LIMIT = 24
 OMEGA_LIMIT = 40
@@ -50,26 +50,6 @@ def nonadjacent_pairs(g: Graph, m: Matching) -> int:
     return int(np.count_nonzero(~linked)) // 2
 
 
-def nonadjacent_pairs_scan(g: Graph, m: Matching) -> int:
-    """Same count by plain per-pair rescan of the four cross pairs.
-
-    Kept as an independent implementation to cross-check the packed path.
-    """
-    validate_matching(g, m)
-    count = 0
-    for i, (a, b) in enumerate(m.edges):
-        for c, d in m.edges[i + 1:]:
-            if not (g.has_edge(a, c) or g.has_edge(a, d)
-                    or g.has_edge(b, c) or g.has_edge(b, d)):
-                count += 1
-    return count
-
-
-def is_connected_matching(g: Graph, m: Matching) -> bool:
-    """True iff every two matching edges have an edge between their endpoint sets."""
-    return nonadjacent_pairs(g, m) == 0
-
-
 @dataclass(frozen=True)
 class BadQuadrupleCount:
     """Exact ordered bad-quadruple count plus the ``2b(k-1)**2`` cap.
@@ -98,7 +78,7 @@ def count_bad_quadruples(g: Graph, k: int | None = None) -> BadQuadrupleCount:
         return BadQuadrupleCount(0, 0)
     co = complement(g)
     b = co.m
-    delta = min(row.bit_count() for row in g.rows)
+    delta = min_degree(g)
     if k is None:
         k = n - delta
     bound = 2 * b * (k - 1) ** 2 if delta >= n - k else None

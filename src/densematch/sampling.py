@@ -11,7 +11,6 @@ identical partition stream.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +30,16 @@ class Partition:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pairs)
 
-    def support(self) -> set[int]:
-        return {x for p in self.pairs for x in p}
+def _shuffle_pair(arr: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle ``arr`` and pair consecutive entries; returns the two pair ends."""
+    shuffled = arr[rng.permutation(arr.size)]
+    return shuffled[0::2], shuffled[1::2]
+
+
+def _partition(a: np.ndarray, b: np.ndarray) -> Partition:
+    """Partition of the pairs ``(a[i], b[i])``, each written smaller end first."""
+    return Partition(tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
 
 
 def sample_partition(s, rng: np.random.Generator) -> Partition:
@@ -44,10 +47,7 @@ def sample_partition(s, rng: np.random.Generator) -> Partition:
     items = sorted(s)
     if len(items) < 2 or len(items) % 2:
         raise ValueError(f"partition into pairs needs an even set of size >= 2, got {len(items)}")
-    arr = np.asarray(items)
-    shuffled = arr[rng.permutation(arr.size)].tolist()
-    pairs = tuple(_norm(shuffled[i], shuffled[i + 1]) for i in range(0, len(shuffled), 2))
-    return Partition(pairs)
+    return _partition(*_shuffle_pair(np.asarray(items), rng))
 
 
 def count_intersection(x: Partition, f) -> int:
@@ -73,15 +73,9 @@ def empirical_deviation_rate(s, f, lam: float, trials: int, rng: np.random.Gener
     wanted = {_norm(a, b) for a, b in f}
     target = len(wanted) / (len(items) - 1)
     arr = np.asarray(items)
-    size = arr.size
     hits = 0
     for _ in range(trials):
-        shuffled = arr[rng.permutation(size)].tolist()
-        count = 0
-        for i in range(0, size, 2):
-            a, b = shuffled[i], shuffled[i + 1]
-            if _norm(a, b) in wanted:
-                count += 1
+        count = sum(p in wanted for p in _partition(*_shuffle_pair(arr, rng)).pairs)
         if abs(count - target) >= lam:
             hits += 1
     return hits / trials
@@ -146,10 +140,9 @@ def sample_edge_heavy_partition(g: Graph, threshold: int,
         raise ValueError("threshold must be nonnegative")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    vertices = np.arange(n)
     for attempt in range(1, max_attempts + 1):
-        order = rng.permutation(n)
-        a, b = order[0::2], order[1::2]
+        a, b = _shuffle_pair(vertices, rng)
         if np.count_nonzero(g.has_edges(a, b)) >= threshold:
-            pairs = tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-            return Partition(pairs), attempt
+            return _partition(a, b), attempt
     raise SamplingFailure(max_attempts)

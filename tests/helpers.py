@@ -11,7 +11,8 @@ import numpy as np
 
 from densematch import (Graph, Matching, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
-                        from_edge_list, two_cliques)
+                        two_cliques)
+from densematch.graphs import from_edge_list
 
 
 def brute_alpha_at_most_2(g: Graph) -> bool:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 
-from densematch import parse_edge_list, two_cliques, write_edge_list
+import pytest
+
+from densematch import ExperimentConfig, two_cliques, write_edge_list
 from densematch.cli import main
+from densematch.graphs import format_edge_list, parse_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +48,25 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--family", "c5", "--parts", "1,1,x,1,1")
         assert code == 2
         assert "comma-separated" in err
+
+    @pytest.mark.parametrize("family", ["two-cliques", "rtf", "complete"])
+    def test_missing_n(self, capsys, family):
+        code, _, err = run_cli(capsys, "gen", "--family", family)
+        assert code == 2
+        assert "needs n" in err
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (("--family", "two-cliques", "--n", "12"), {"family": "two-cliques", "n": 12}),
+        (("--family", "rtf", "--n", "30", "--seed", "7"),
+         {"family": "rtf", "n": 30, "graph_seed": 7}),
+        (("--family", "c5", "--parts", "2,1,3,1,4"), {"family": "c5", "parts": (2, 1, 3, 1, 4)}),
+        (("--family", "complete", "--n", "9"), {"family": "complete", "n": 9}),
+    ])
+    def test_same_graph_as_experiment(self, capsys, argv, cfg):
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        built = ExperimentConfig(c=8.0, t=1, trials=1, master_seed=0, **cfg).build_graph()
+        assert out == format_edge_list(built)
 
 
 class TestOracle:
@@ -100,6 +122,13 @@ class TestOracle:
                                "--limit", "26")
         assert code == 0
         assert json.loads(out)["value"] == 13
+
+    def test_limit_zero_is_applied(self, tmp_path, capsys):
+        path = self.graph_file(tmp_path, two_cliques(5))
+        code, _, err = run_cli(capsys, "oracle", "--graph", path, "--op", "cm",
+                               "--limit", "0")
+        assert code == 2
+        assert "limit 0" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--graph", "/no/such/file",
@@ -181,6 +210,12 @@ class TestExperiment:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["trials"] == "7"
+
+    def test_zero_workers_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "experiment", "--family", "complete",
+                               "--c", "8", "--t", "5", "--n", "40", "--workers", "0")
+        assert code == 2
+        assert "max_workers must be at least 1" in err
 
     def test_inline_needs_family(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--c", "8", "--t", "5")

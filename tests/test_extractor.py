@@ -5,14 +5,16 @@ import statistics
 import numpy as np
 import pytest
 
-from densematch import (ExtractionParams, ParameterError, SamplingFailure,
-                        c5_blowup_complement,
+from densematch import (c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         count_bad_quadruples, derive_params, extract_best,
-                        extract_once, from_edge_list, nonadjacent_pairs,
-                        optimal_slack, prepare_extraction, trial_seed,
-                        two_cliques, validate_matching)
-from densematch.extractor import _uniform_subset
+                        extract_once, nonadjacent_pairs, optimal_slack,
+                        two_cliques)
+from densematch.errors import ParameterError, SamplingFailure
+from densematch.extractor import (ExtractionParams, _uniform_subset,
+                                  prepare_extraction, trial_seed)
+from densematch.graphs import from_edge_list
+from densematch.oracles import validate_matching
 from densematch.sampling import sample_edge_heavy_partition
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from densematch import (c5_blowup_complement, complement,
+from densematch import (c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
+from densematch.graphs import complement
 from helpers import all_matchings, brute_alpha_at_most_2
 
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from densematch import (MAX_VERTICES, Graph, Matching, complement,
-                        complement_of_random_triangle_free, delete_vertex,
-                        format_edge_list, from_edge_list, graph_from_rows,
-                        is_alpha_at_most_2, max_degree, min_degree,
-                        parse_edge_list, read_edge_list, sets_adjacent,
-                        two_cliques, write_edge_list)
+from densematch import (Graph, Matching, complement_of_random_triangle_free,
+                        is_alpha_at_most_2, read_edge_list, two_cliques,
+                        write_edge_list)
+from densematch.graphs import (MAX_VERTICES, complement, delete_vertex,
+                               format_edge_list, from_edge_list, graph_from_rows,
+                               max_degree, min_degree, parse_edge_list,
+                               sets_adjacent)
 from helpers import brute_alpha_at_most_2, random_graph
 
 

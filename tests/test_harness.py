@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from densematch import (CSV_COLUMNS, ExperimentConfig, configs_from_json,
-                        derive_params, optimal_slack, render_csv, render_json,
-                        run_experiment, summary_to_dict, sweep, sweep_results)
+from densematch import (ExperimentConfig, derive_params, optimal_slack,
+                        run_experiment, sweep)
+from densematch.harness import (CSV_COLUMNS, configs_from_json, render_csv,
+                                render_json, summary_to_dict, sweep_results)
 
 
 def parse_csv(text):
@@ -128,6 +129,23 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match="max_workers must be at least 1"):
+            sweep_results(self.small_grid(), max_workers=workers)
+
+    @pytest.mark.parametrize("bad, n", [
+        (ExperimentConfig(family="two-cliques", c=4.0, t=10, trials=5, master_seed=3, n=80), 80),
+        (ExperimentConfig(family="c5", c=8.0, t=10, trials=5, master_seed=3), None),
+    ])
+    def test_error_row_same_in_csv_and_json(self, bad, n):
+        results = sweep_results([self.small_grid()[0], bad])
+        csv_row = parse_csv(render_csv(results))[1]
+        json_row = json.loads(render_json(results))[1]
+        assert json_row.get("n") == n
+        assert {k: str(v) for k, v in json_row.items() if v != ""} == {
+            k: v for k, v in csv_row.items() if v != ""}
 
 
 class TestConfigParsing:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from densematch import (SamplingFailure, complete_graph,
-                        complement_of_random_triangle_free, count_intersection,
-                        empirical_deviation_rate, from_edge_list,
-                        pair_inclusion_frequencies, sample_edge_heavy_partition,
-                        sample_partition, two_cliques)
+from densematch import complement_of_random_triangle_free, complete_graph, two_cliques
+from densematch.errors import SamplingFailure
+from densematch.graphs import from_edge_list
+from densematch.sampling import (count_intersection, empirical_deviation_rate,
+                                 pair_inclusion_frequencies,
+                                 sample_edge_heavy_partition, sample_partition)
 from helpers import all_pairings
 
 
@@ -189,3 +190,13 @@ class TestEdgeHeavyPartition:
         g = complete_graph(5)
         with pytest.raises(ValueError):
             sample_edge_heavy_partition(g, 1, 10, np.random.default_rng(0))
+
+    def test_same_stream_as_plain_sampler(self):
+        # an always-accepting call is one shuffle-and-pair draw, like sample_partition
+        for n in (2, 10, 64):
+            plain_rng, heavy_rng = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(3):
+                part, attempts = sample_edge_heavy_partition(complete_graph(n), 0, 1, heavy_rng)
+                assert attempts == 1
+                assert part == sample_partition(range(n), plain_rng)
+            assert plain_rng.integers(1 << 62) == heavy_rng.integers(1 << 62)
