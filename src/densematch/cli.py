@@ -91,31 +91,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    flags = {name: getattr(args, name) for name in ("family", "c", "t", "trials", "n", "master_seed")
+             if getattr(args, name) is not None}
+    if args.parts is not None:
+        flags["parts"] = _parse_parts(args.parts)
     if args.config:
-        configs = harness.configs_from_json(Path(args.config).read_text())
-        overrides = {}
-        for name in ("family", "c", "t", "trials", "n"):
-            value = getattr(args, name)
-            if value is not None:
-                overrides[name] = value
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.parts is not None:
-            overrides["parts"] = _parse_parts(args.parts)
-        if overrides:
-            configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
+        configs = [dataclasses.replace(cfg, **flags)
+                   for cfg in harness.configs_from_json(Path(args.config).read_text())]
     else:
         if args.family is None or args.c is None or args.t is None:
             raise ValueError("without --config, provide at least --family, --c and --t")
-        configs = [harness.ExperimentConfig(
-            family=args.family,
-            c=args.c,
-            t=args.t,
-            trials=args.trials if args.trials is not None else 1,
-            master_seed=args.seed if args.seed is not None else 0,
-            n=args.n,
-            parts=_parse_parts(args.parts),
-        )]
+        configs = [harness.config_from_dict({"trials": 1, "master_seed": 0, **flags})]
     results = harness.sweep_results(configs, max_workers=args.workers)
     for cfg, summary, error in results:
         label = f"{cfg.family} t={cfg.t} seed={cfg.master_seed}"
@@ -169,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--c", type=float)
     experiment.add_argument("--t", type=int)
     experiment.add_argument("--trials", type=int)
-    experiment.add_argument("--seed", type=int)
+    experiment.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     experiment.add_argument("--n", type=int)
     experiment.add_argument("--parts")
     experiment.add_argument("--workers", type=int, default=1)

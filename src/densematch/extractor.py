@@ -162,9 +162,9 @@ def extract_once(g: Graph, params: ExtractionParams, rng: np.random.Generator,
         raise ValueError("graph order must be even (delete a vertex first)")
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
-    partition, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
-    ends = np.array(partition.pairs).T
-    in_graph = list(compress(partition.pairs, g.has_edges(ends[0], ends[1])))
+    pairs, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
+    ends = np.array(pairs).T
+    in_graph = list(compress(pairs, g.has_edges(ends[0], ends[1])))
     matching = Matching(tuple(sorted(_uniform_subset(in_graph, t, rng))))
     count = nonadjacent_pairs(g, matching)
     report = TrialReport(seed, attempts, len(in_graph), count,

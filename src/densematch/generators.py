@@ -20,7 +20,7 @@ def complete_graph(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
     _check_n(n)
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), n * (n - 1) // 2)
+    return Graph(tuple(full ^ (1 << v) for v in range(n)))
 
 
 def two_cliques(s: int) -> Graph:
@@ -35,7 +35,7 @@ def two_cliques(s: int) -> Graph:
     mask_b = mask_a << s
     rows = [mask_a ^ (1 << v) for v in range(s)]
     rows += [mask_b ^ (1 << v) for v in range(s, 2 * s)]
-    return Graph(2 * s, tuple(rows), s * (s - 1))
+    return Graph(tuple(rows))
 
 
 def c5_blowup_complement(part_sizes) -> Graph:
@@ -64,7 +64,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
         blow_row = part_masks[(i - 1) % 5] | part_masks[(i + 1) % 5]
         for v in range(offsets[i], offsets[i] + sizes[i]):
             rows.append((full ^ blow_row) ^ (1 << v))
-    return graph_from_rows(n, rows)
+    return graph_from_rows(rows)
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -90,7 +90,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
                     rows[v] |= 1 << u
     full = (1 << n) - 1
     comp = [(full ^ row) ^ (1 << v) for v, row in enumerate(rows)]
-    return graph_from_rows(n, comp)
+    return graph_from_rows(comp)
 
 
 def _decode_pair_indices(n: int, idx):

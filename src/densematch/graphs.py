@@ -31,17 +31,24 @@ def _bit_in_byte(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: ``n`` vertices, symmetric loop-free bit rows."""
+    """Simple undirected graph given by its symmetric, loop-free bit rows.
 
-    n: int
+    ``n`` and ``m`` are derived from the rows, so they cannot disagree.
+    """
+
     rows: tuple[int, ...]
-    m: int
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
-        if len(self.rows) != self.n:
-            raise ValueError("adjacency row count does not match vertex count")
+        if len(self.rows) > MAX_VERTICES:
+            raise ValueError(f"vertex count {len(self.rows)} outside [0, {MAX_VERTICES}]")
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def m(self) -> int:
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
@@ -108,18 +115,16 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def vertex_set(self) -> set[int]:
-        return {x for e in self.edges for x in e}
 
-
-def graph_from_rows(n: int, rows) -> Graph:
-    """Build a graph from prepared bitset rows.
+def graph_from_rows(rows) -> Graph:
+    """Build a graph from prepared bitset rows, one per vertex.
 
     Rows must already be symmetric; only the cheap checks (bits outside
     ``0..n-1``, loop bits, even total popcount) run here.  Generators use this
     to skip edge-list costs.
     """
     rows = tuple(rows)
+    n = len(rows)
     total = 0
     for v, row in enumerate(rows):
         if row >> n:
@@ -129,7 +134,7 @@ def graph_from_rows(n: int, rows) -> Graph:
         total += row.bit_count()
     if total % 2:
         raise ValueError("rows are not symmetric (odd total popcount)")
-    return Graph(n, rows, total // 2)
+    return Graph(rows)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -148,15 +153,14 @@ def from_edge_list(n: int, edges) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    m = sum(row.bit_count() for row in rows) // 2
-    return Graph(n, tuple(rows), m)
+    return Graph(tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
     full = (1 << g.n) - 1
     rows = tuple((full ^ row) ^ (1 << v) for v, row in enumerate(g.rows))
-    return Graph(g.n, rows, g.n * (g.n - 1) // 2 - g.m)
+    return Graph(rows)
 
 
 def is_alpha_at_most_2(g: Graph) -> bool:
@@ -174,35 +178,6 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.rows)
 
 
-def max_degree(g: Graph) -> int:
-    if g.n < 1:
-        raise ValueError("degree of an empty graph is undefined")
-    return max(row.bit_count() for row in g.rows)
-
-
-def sets_adjacent(g: Graph, a, b) -> bool:
-    """True iff some vertex of ``a`` is adjacent to some vertex of ``b``.
-
-    The sets must be nonempty and disjoint.
-    """
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise ValueError("sets_adjacent needs two nonempty sets")
-    if sa & sb:
-        raise ValueError(f"sets_adjacent needs disjoint sets, both contain {sorted(sa & sb)}")
-    mask = 0
-    for v in sb:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    for u in sa:
-        if not 0 <= u < g.n:
-            raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
-        if g.rows[u] & mask:
-            return True
-    return False
-
-
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove vertex ``v``, remapping every id ``w > v`` to ``w - 1``."""
     if not 0 <= v < g.n:
@@ -214,7 +189,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
             continue
         row = g.rows[u]
         rows.append((row & low_mask) | ((row >> (v + 1)) << v))
-    return Graph(g.n - 1, tuple(rows), g.m - g.degree(v))
+    return Graph(tuple(rows))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -235,24 +210,17 @@ def parse_edge_list(text: str) -> Graph:
         tokens.extend(line.split("#", 1)[0].split())
     if len(tokens) < 2:
         raise ValueError("edge list needs a header line 'n m'")
-    try:
-        numbers = [int(tok) for tok in tokens]
-    except ValueError:
-        bad = next(tok for tok in tokens if not _is_int(tok))
-        raise ValueError(f"edge list contains a non-integer token {bad!r}") from None
+    numbers = []
+    for tok in tokens:
+        try:
+            numbers.append(int(tok))
+        except ValueError:
+            raise ValueError(f"edge list contains a non-integer token {tok!r}") from None
     n, m = numbers[0], numbers[1]
     body = numbers[2:]
     if len(body) != 2 * m:
         raise ValueError(f"header declares {m} edges but body has {len(body)} endpoints")
     return from_edge_list(n, list(zip(body[0::2], body[1::2])))
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def read_edge_list(path) -> Graph:

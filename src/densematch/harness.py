@@ -106,16 +106,12 @@ class ExperimentSummary:
     """Aggregated trial statistics of one experiment."""
 
     config: ExperimentConfig
-    n: int
-    c_prime: float
     params: ExtractionParams
     acceptance_rate: float
     best: int
     mean: float
     median: float
-    bound: float
     bound_density: float
-    asymptotic_density: float
     wall_ms: float
 
 
@@ -132,17 +128,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentSummary(
         config=cfg,
-        n=g.n,
-        c_prime=params.ratio,
         params=params,
         acceptance_rate=len(reports) / attempts,
         best=min(counts),
         mean=statistics.fmean(counts),
         median=float(statistics.median(counts)),
-        bound=params.pair_bound,
         # no pairs exist at t=1, so the density question is vacuous there
         bound_density=params.pair_bound / pairs if pairs else 0.0,
-        asymptotic_density=1.0 / (cfg.c * (cfg.c - 1.0) ** 2),
         wall_ms=wall_ms,
     )
 
@@ -153,9 +145,9 @@ def summary_to_dict(s: ExperimentSummary) -> dict:
     return {
         "family": cfg.family,
         "params": cfg.family_params(),
-        "n": s.n,
+        "n": cfg.total_vertices(),
         "c": cfg.c,
-        "c_prime": s.c_prime,
+        "c_prime": s.params.ratio,
         "t": cfg.t,
         "ell": s.params.slack,
         "k": s.params.margin,
@@ -164,9 +156,9 @@ def summary_to_dict(s: ExperimentSummary) -> dict:
         "threshold": s.params.threshold,
         "trials": cfg.trials,
         "acceptance_rate": s.acceptance_rate,
-        "bound": s.bound,
+        "bound": s.params.pair_bound,
         "bound_density": s.bound_density,
-        "asymptotic_density": s.asymptotic_density,
+        "asymptotic_density": 1.0 / (cfg.c * (cfg.c - 1.0) ** 2),
         "best": s.best,
         "mean": s.mean,
         "median": s.median,
@@ -193,8 +185,10 @@ def sweep_results(configs, max_workers: int = 1):
         raise ValueError("sweep needs at least one config")
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    # the pool starts every worker up front, so never start more than there is work for
+    workers = min(max_workers, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_safe, configs))
     else:
         outcomes = [_run_safe(cfg) for cfg in configs]
@@ -239,14 +233,41 @@ def sweep(configs, max_workers: int = 1) -> str:
     return render_csv(sweep_results(configs, max_workers=max_workers))
 
 
-def config_from_dict(obj: dict) -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(obj) - known)
+# what a config field must hold where it is not an integer (exact types, so
+# JSON true/false is not a number); a field whose default is None may be null
+_FIELD_TYPES = {
+    "family": ("a string", lambda v: type(v) is str),
+    "c": ("a number", lambda v: type(v) in (int, float)),
+    "parts": ("a list of integers",
+              lambda v: type(v) in (list, tuple) and all(type(p) is int for p in v)),
+}
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+
+
+def config_from_dict(obj) -> ExperimentConfig:
+    """The config an object describes; a ``ValueError`` names the first bad field.
+
+    Only the shape and the types are checked here.  Values are checked by
+    :meth:`ExperimentConfig.validate` when the config runs, so a sweep turns
+    a bad value into an error row.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"each config must be a JSON object, got {obj!r}")
+    unknown = sorted(obj.keys() - _DEFAULTS.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [name for name, default in _DEFAULTS.items()
+               if default is dataclasses.MISSING and name not in obj]
+    if missing:
+        raise ValueError(f"missing config keys: {', '.join(missing)}")
+    for name, value in obj.items():
+        expected, ok = _FIELD_TYPES.get(name, _INTEGER)
+        if not (ok(value) or (value is None and _DEFAULTS[name] is None)):
+            raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
     data = dict(obj)
     if data.get("parts") is not None:
-        data["parts"] = tuple(int(p) for p in data["parts"])
+        data["parts"] = tuple(data["parts"])
     return ExperimentConfig(**data)
 
 

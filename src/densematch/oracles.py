@@ -52,36 +52,30 @@ def nonadjacent_pairs(g: Graph, m: Matching) -> int:
 
 @dataclass(frozen=True)
 class BadQuadrupleCount:
-    """Exact ordered bad-quadruple count plus the ``2b(k-1)**2`` cap.
-
-    ``bound`` is None when the supplied ``k`` does not dominate the degree
-    deficit (some vertex has degree below ``n - k``).
-    """
+    """Exact ordered bad-quadruple count plus the ``2b(k-1)**2`` cap."""
 
     count: int
-    bound: int | None
+    bound: int
 
 
-def count_bad_quadruples(g: Graph, k: int | None = None) -> BadQuadrupleCount:
+def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     """Count ordered ``(u, v, w, z)`` with ``uv, wz`` edges and all four cross
     pairs ``uw, uz, vw, vz`` non-edges.
 
     Enumerates ordered non-adjacent ``(u, w)`` first and then the eligible
     ``v`` and ``z``, so the cost scales with the complement size instead of
-    ``n**4``.  ``k`` defaults to ``n - min_degree``; with ``b`` the number of
-    non-edges, the count is at most ``2*b*(k-1)**2`` whenever every degree is
-    at least ``n - k``.  Every unordered pair of disjoint non-adjacent edges
-    is counted exactly 8 times, so the count is always divisible by 8.
+    ``n**4``.  With ``b`` the number of non-edges and ``k = n - min_degree``
+    (the smallest ``k`` with every degree at least ``n - k``, so the tightest
+    cap), the count is at most ``2*b*(k-1)**2``.  Every unordered pair of
+    disjoint non-adjacent edges is counted exactly 8 times, so the count is
+    always divisible by 8.
     """
     n = g.n
     if n == 0:
         return BadQuadrupleCount(0, 0)
     co = complement(g)
-    b = co.m
-    delta = min_degree(g)
-    if k is None:
-        k = n - delta
-    bound = 2 * b * (k - 1) ** 2 if delta >= n - k else None
+    k = n - min_degree(g)
+    bound = 2 * co.m * (k - 1) ** 2
     rows = g.rows
     nadj = co.rows
     total = 0

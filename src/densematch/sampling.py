@@ -10,8 +10,6 @@ All samplers take a ``numpy.random.Generator``; a fixed seed yields an
 identical partition stream.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SamplingFailure
@@ -19,16 +17,8 @@ from .graphs import Graph
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 
-
-def _norm(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A perfect pairing of an even vertex set."""
-
-    pairs: tuple[tuple[int, int], ...]
+# permutation rows per vectorised batch in pair_inclusion_frequencies
+_CHUNK = 1 << 16
 
 
 def _shuffle_pair(arr: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -37,23 +27,17 @@ def _shuffle_pair(arr: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray
     return shuffled[0::2], shuffled[1::2]
 
 
-def _partition(a: np.ndarray, b: np.ndarray) -> Partition:
-    """Partition of the pairs ``(a[i], b[i])``, each written smaller end first."""
-    return Partition(tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
+def _pairs(a: np.ndarray, b: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(a[i], b[i])``, each written smaller end first."""
+    return tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def sample_partition(s, rng: np.random.Generator) -> Partition:
-    """Sample a uniform partition of ``s`` into pairs (shuffle, then pair up)."""
+def sample_partition(s, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """Uniform partition of ``s`` into pairs (shuffle, then pair up), smaller ends first."""
     items = sorted(s)
     if len(items) < 2 or len(items) % 2:
         raise ValueError(f"partition into pairs needs an even set of size >= 2, got {len(items)}")
-    return _partition(*_shuffle_pair(np.asarray(items), rng))
-
-
-def count_intersection(x: Partition, f) -> int:
-    """Exact number of pairs of ``x`` that belong to the pair collection ``f``."""
-    wanted = {_norm(a, b) for a, b in f}
-    return sum(1 for p in x.pairs if p in wanted)
+    return _pairs(*_shuffle_pair(np.asarray(items), rng))
 
 
 def empirical_deviation_rate(s, f, lam: float, trials: int, rng: np.random.Generator) -> float:
@@ -70,19 +54,19 @@ def empirical_deviation_rate(s, f, lam: float, trials: int, rng: np.random.Gener
         raise ValueError("lam must be positive")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    wanted = {_norm(a, b) for a, b in f}
+    wanted = {(min(a, b), max(a, b)) for a, b in f}
     target = len(wanted) / (len(items) - 1)
     arr = np.asarray(items)
     hits = 0
     for _ in range(trials):
-        count = sum(p in wanted for p in _partition(*_shuffle_pair(arr, rng)).pairs)
+        count = sum(p in wanted for p in _pairs(*_shuffle_pair(arr, rng)))
         if abs(count - target) >= lam:
             hits += 1
     return hits / trials
 
 
-def pair_inclusion_frequencies(s, e, f, samples: int, rng: np.random.Generator,
-                               chunk: int = 1 << 16) -> tuple[float, float]:
+def pair_inclusion_frequencies(s, e, f, samples: int,
+                               rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo frequencies of ``e ∈ X`` and ``e, f ∈ X`` over uniform partitions.
 
     Vectorised shuffle-then-pair sampling (rows of index permutations; a pair
@@ -108,7 +92,7 @@ def pair_inclusion_frequencies(s, e, f, samples: int, rng: np.random.Generator,
     count_both = 0
     done = 0
     while done < samples:
-        rows = min(chunk, samples - done)
+        rows = min(_CHUNK, samples - done)
         perms = rng.permuted(np.tile(base, (rows, 1)), axis=1)
         pa = np.argmax(perms == ia, axis=1)
         pb = np.argmax(perms == ib, axis=1)
@@ -122,16 +106,17 @@ def pair_inclusion_frequencies(s, e, f, samples: int, rng: np.random.Generator,
     return count_e / samples, count_both / samples
 
 
-def sample_edge_heavy_partition(g: Graph, threshold: int,
-                                max_attempts: int, rng: np.random.Generator) -> tuple[Partition, int]:
+def sample_edge_heavy_partition(g: Graph, threshold: int, max_attempts: int,
+                                rng: np.random.Generator) -> tuple[tuple[tuple[int, int], ...], int]:
     """Uniform partition of ``V(g)`` conditioned on containing many edges.
 
     Draws independent uniform partitions until one has at least ``threshold``
     pairs that are edges of ``g``; because each attempt is an independent
     uniform draw, the accepted sample is uniform over the conditioned set.
-    Returns the partition and the number of attempts.  Raises
-    :class:`SamplingFailure` carrying the attempt count when ``max_attempts``
-    rejections occur (the threshold is too aggressive for this graph).
+    Returns the partition's pairs, as :func:`sample_partition` does, and the
+    number of attempts.  Raises :class:`SamplingFailure` carrying the attempt
+    count when ``max_attempts`` rejections occur (the threshold is too
+    aggressive for this graph).
     """
     n = g.n
     if n < 2 or n % 2:
@@ -144,5 +129,5 @@ def sample_edge_heavy_partition(g: Graph, threshold: int,
     for attempt in range(1, max_attempts + 1):
         a, b = _shuffle_pair(vertices, rng)
         if np.count_nonzero(g.has_edges(a, b)) >= threshold:
-            return _partition(a, b), attempt
+            return _pairs(a, b), attempt
     raise SamplingFailure(max_attempts)

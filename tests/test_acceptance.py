@@ -164,7 +164,7 @@ def test_criterion_05_extremal_instance():
 def test_criterion_06_expectation_bound(crit6_results):
     checks = []
     for cfg, summary, _ in crit6_results:
-        bound = summary.bound
+        bound = summary.params.pair_bound
         checks.append((f"seed {cfg.master_seed} mean {summary.mean:.3f} <= 1.15*{bound:.3f}",
                        summary.mean <= 1.15 * bound))
         checks.append((f"seed {cfg.master_seed} min {summary.best} <= {bound:.3f}",

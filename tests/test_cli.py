@@ -217,6 +217,29 @@ class TestExperiment:
         assert code == 2
         assert "max_workers must be at least 1" in err
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"family": "complete", "c": 8.0, "t": 10, "master_seed": 1, "n": 80}, "trials"),
+        ([3], "object"),
+        ({"family": "complete", "c": 8.0, "t": 10, "trials": 3, "master_seed": 1, "n": "80"},
+         "'n'"),
+        ({"family": "complete", "c": 8.0, "t": 10, "trials": True, "master_seed": 1, "n": 80},
+         "'trials'"),
+        ({"family": "complete", "c": 8.0, "t": 10.5, "trials": 3, "master_seed": 1, "n": 80},
+         "'t'"),
+        ({"family": "c5", "c": 8.0, "t": 10, "trials": 3, "master_seed": 1,
+          "parts": "16,16,16,16,16"}, "'parts'"),
+        ({"family": "c5", "c": 8.0, "t": 10, "trials": 3, "master_seed": 1,
+          "parts": [1.5, 16, 16, 16, 16]}, "'parts'"),
+    ], ids=["missing-key", "non-object", "string-n", "bool-trials", "float-t",
+            "string-parts", "float-parts"])
+    def test_bad_config_names_field(self, tmp_path, capsys, entry, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert field in err and "Traceback" not in err
+
     def test_inline_needs_family(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--c", "8", "--t", "5")
         assert code == 2

@@ -157,9 +157,9 @@ class TestSelectionProbability:
     def test_per_edge_frequency_at_most_pick_cap(self):
         g = complement_of_random_triangle_free(24, 6)
         _, params = prepare_extraction(g, 2)
-        part, _ = sample_edge_heavy_partition(g, params.threshold, 10**4,
-                                              np.random.default_rng(4))
-        pool = [p for p in part.pairs if g.has_edge(*p)]
+        pairs, _ = sample_edge_heavy_partition(g, params.threshold, 10**4,
+                                               np.random.default_rng(4))
+        pool = [p for p in pairs if g.has_edge(*p)]
         rng = np.random.default_rng(5)
         rounds = 10_000
         hits = {p: 0 for p in pool}

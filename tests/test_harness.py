@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from densematch import (ExperimentConfig, derive_params, optimal_slack,
+from densematch import (ExperimentConfig, derive_params, harness, optimal_slack,
                         run_experiment, sweep)
 from densematch.harness import (CSV_COLUMNS, configs_from_json, render_csv,
                                 render_json, summary_to_dict, sweep_results)
@@ -23,16 +23,16 @@ class TestRunExperiment:
         s = run_experiment(cfg)
         assert (s.best, s.mean, s.median) == (0, 0.0, 0.0)
         assert s.acceptance_rate == 1.0
-        assert s.c_prime == 8.0
-        assert s.bound == pytest.approx(
+        assert s.params.ratio == 8.0
+        assert s.params.pair_bound == pytest.approx(
             derive_params(8.0, 50, optimal_slack(8, 50)).pair_bound)
 
     def test_dense_family_beats_bound(self):
         cfg = ExperimentConfig(family="rtf", c=8.0, t=50, trials=50,
                                master_seed=21, n=400)
         s = run_experiment(cfg)
-        assert s.best <= s.bound
-        assert s.mean <= 1.15 * s.bound
+        assert s.best <= s.params.pair_bound
+        assert s.mean <= 1.15 * s.params.pair_bound
 
     def test_two_cliques_small_feasible_case(self):
         cfg = ExperimentConfig(family="two-cliques", c=10.0, t=2, trials=30,
@@ -47,7 +47,7 @@ class TestRunExperiment:
         s = run_experiment(cfg)
         assert s.best == 0
         assert s.bound_density == 0.0
-        assert s.bound == 0.0
+        assert s.params.pair_bound == 0.0
 
     def test_deterministic(self):
         cfg = ExperimentConfig(family="rtf", c=8.0, t=10, trials=10,
@@ -135,6 +135,28 @@ class TestSweep:
         with pytest.raises(ValueError, match="max_workers must be at least 1"):
             sweep_results(self.small_grid(), max_workers=workers)
 
+    def test_pool_never_larger_than_grid(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        grid = self.small_grid()
+        assert sweep(grid, max_workers=5000) == sweep(grid)
+        assert sweep(grid[:1], max_workers=5000) == sweep(grid[:1])
+        assert sizes == [2]
+
     @pytest.mark.parametrize("bad, n", [
         (ExperimentConfig(family="two-cliques", c=4.0, t=10, trials=5, master_seed=3, n=80), 80),
         (ExperimentConfig(family="c5", c=8.0, t=10, trials=5, master_seed=3), None),
@@ -159,6 +181,11 @@ class TestConfigParsing:
         cfgs = configs_from_json('[{"family": "c5", "c": 8.0, "t": 2, "trials": 1, '
                                  '"master_seed": 0, "parts": [4, 4, 4, 4, 4]}]')
         assert cfgs[0].parts == (4, 4, 4, 4, 4)
+
+    def test_integer_c_kept(self):
+        cfgs = configs_from_json('{"family": "complete", "c": 8, "t": 5, '
+                                 '"trials": 2, "master_seed": 7, "n": 40}')
+        assert cfgs[0].c == 8 and isinstance(cfgs[0].c, int)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -106,12 +106,10 @@ class TestBadQuadruples:
         for i in range(80):
             g = random_alpha2_graph(i, n_max=20)
             result = count_bad_quadruples(g)
-            assert result.bound is not None
+            b = g.n * (g.n - 1) // 2 - len(list(g.edges()))
+            delta = min(map(g.degree, range(g.n)))
+            assert result.bound == 2 * b * (g.n - delta - 1) ** 2
             assert result.count <= result.bound
-
-    def test_invalid_k_gives_no_bound(self):
-        g = from_edge_list(4, [(0, 1), (2, 3)])
-        assert count_bad_quadruples(g, k=1).bound is None
 
 
 class TestCliqueNumber:

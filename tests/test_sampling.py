@@ -7,8 +7,7 @@ from scipy import stats
 from densematch import complement_of_random_triangle_free, complete_graph, two_cliques
 from densematch.errors import SamplingFailure
 from densematch.graphs import from_edge_list
-from densematch.sampling import (count_intersection, empirical_deviation_rate,
-                                 pair_inclusion_frequencies,
+from densematch.sampling import (empirical_deviation_rate, pair_inclusion_frequencies,
                                  sample_edge_heavy_partition, sample_partition)
 from helpers import all_pairings
 
@@ -21,14 +20,13 @@ def all_pairs(items):
 class TestSamplePartition:
     def test_two_elements(self):
         rng = np.random.default_rng(0)
-        part = sample_partition({3, 8}, rng)
-        assert part.pairs == ((3, 8),)
+        assert sample_partition({3, 8}, rng) == ((3, 8),)
 
     def test_partition_is_perfect(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            part = sample_partition(range(12), rng)
-            assert sorted(x for p in part.pairs for x in p) == list(range(12))
+            pairs = sample_partition(range(12), rng)
+            assert sorted(x for p in pairs for x in p) == list(range(12))
 
     def test_all_fifteen_pairings_of_six_appear(self):
         rng = np.random.default_rng(2)
@@ -36,8 +34,7 @@ class TestSamplePartition:
         assert len(expected) == 15  # (6-1)!! pairings of a 6-set
         seen = set()
         for _ in range(5000):
-            part = sample_partition(range(6), rng)
-            seen.add(tuple(sorted(part.pairs)))
+            seen.add(tuple(sorted(sample_partition(range(6), rng))))
         assert seen == expected
 
     def test_uniformity_chi_square(self):
@@ -47,8 +44,8 @@ class TestSamplePartition:
             labels = {p: i for i, p in enumerate(all_pairings(list(range(size))))}
             counts = np.zeros(len(labels))
             for _ in range(samples):
-                part = sample_partition(range(size), rng)
-                counts[labels[tuple(sorted(part.pairs))]] += 1
+                pairs = sample_partition(range(size), rng)
+                counts[labels[tuple(sorted(pairs))]] += 1
             assert stats.chisquare(counts).pvalue >= 1e-3
 
     def test_odd_set_rejected(self):
@@ -62,22 +59,10 @@ class TestSamplePartition:
 
 
 class TestCountIntersection:
-    def test_full_pair_set(self):
-        rng = np.random.default_rng(3)
-        pairs = all_pairs(range(4))
-        for _ in range(50):
-            part = sample_partition(range(4), rng)
-            assert count_intersection(part, pairs) == 2
-
-    def test_empty_set(self):
-        part = sample_partition(range(6), np.random.default_rng(4))
-        assert count_intersection(part, []) == 0
-
     def test_single_pair_mean(self):
         rng = np.random.default_rng(5)
         samples = 40_000
-        hits = sum(count_intersection(sample_partition(range(6), rng), [(0, 1)])
-                   for _ in range(samples))
+        hits = sum((0, 1) in sample_partition(range(6), rng) for _ in range(samples))
         p = 1 / 5
         sigma = math.sqrt(p * (1 - p) / samples)
         assert abs(hits / samples - p) < 4 * sigma
@@ -104,12 +89,11 @@ class TestPairInclusionLaws:
         assert abs(freq_ef - p_ef) < 4 * math.sqrt(p_ef * (1 - p_ef) / samples)
 
     def test_agrees_with_plain_sampler(self):
-        # same law as sample_partition + count_intersection, within noise
+        # same law as counting a pair in sample_partition draws, within noise
         rng = np.random.default_rng(6)
         samples = 30_000
-        direct = sum(
-            count_intersection(sample_partition(range(6), rng), [(0, 1)])
-            for _ in range(samples)) / samples
+        direct = sum((0, 1) in sample_partition(range(6), rng)
+                     for _ in range(samples)) / samples
         freq_e, _ = pair_inclusion_frequencies(range(6), (0, 1), (2, 3), samples,
                                                np.random.default_rng(7))
         sigma = math.sqrt(0.2 * 0.8 / samples)
@@ -155,9 +139,9 @@ class TestDeviationRate:
 class TestEdgeHeavyPartition:
     def test_complete_graph_accepts_first_try(self):
         g = complete_graph(4)
-        part, attempts = sample_edge_heavy_partition(g, 2, 100, np.random.default_rng(0))
+        pairs, attempts = sample_edge_heavy_partition(g, 2, 100, np.random.default_rng(0))
         assert attempts == 1
-        assert all(g.has_edge(*p) for p in part.pairs)
+        assert all(g.has_edge(*p) for p in pairs)
 
     def test_edgeless_graph_fails(self):
         g = from_edge_list(6, [])
@@ -196,7 +180,7 @@ class TestEdgeHeavyPartition:
         for n in (2, 10, 64):
             plain_rng, heavy_rng = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(3):
-                part, attempts = sample_edge_heavy_partition(complete_graph(n), 0, 1, heavy_rng)
+                pairs, attempts = sample_edge_heavy_partition(complete_graph(n), 0, 1, heavy_rng)
                 assert attempts == 1
-                assert part == sample_partition(range(n), plain_rng)
+                assert pairs == sample_partition(range(n), plain_rng)
             assert plain_rng.integers(1 << 62) == heavy_rng.integers(1 << 62)
