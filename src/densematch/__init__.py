@@ -13,7 +13,7 @@ from .extractor import derive_params, extract_best, extract_once, optimal_slack
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
 from .graphs import Graph, Matching, is_alpha_at_most_2, read_edge_list, write_edge_list
-from .harness import ExperimentConfig, build_family, run_experiment, sweep
+from .harness import ExperimentConfig, build_family, run_experiment
 from .oracles import (clique_bound_audit, clique_number, connected_matching_number,
                       count_bad_quadruples, matching_from_clique,
                       min_nonadjacent_matching, nonadjacent_pairs)
@@ -26,6 +26,5 @@ __all__ = [
     "complete_graph", "connected_matching_number", "count_bad_quadruples",
     "derive_params", "extract_best", "extract_once", "is_alpha_at_most_2",
     "matching_from_clique", "min_nonadjacent_matching", "nonadjacent_pairs",
-    "optimal_slack", "read_edge_list", "run_experiment", "sweep", "two_cliques",
-    "write_edge_list",
+    "optimal_slack", "read_edge_list", "run_experiment", "two_cliques", "write_edge_list",
 ]

@@ -46,6 +46,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.limit is not None and args.op in ("badquads", "audit"):
+        raise ValueError(f"--limit applies only to cm, omega and minmatch, not {args.op}")
     g = read_edge_list(args.graph)
     limit = {} if args.limit is None else {"limit": args.limit}
     if args.op == "cm":
@@ -96,12 +98,12 @@ def _cmd_experiment(args) -> int:
     if args.parts is not None:
         flags["parts"] = _parse_parts(args.parts)
     if args.config:
-        configs = [dataclasses.replace(cfg, **flags)
-                   for cfg in harness.configs_from_json(Path(args.config).read_text())]
+        text = Path(args.config).read_text()
+    elif args.family is None or args.c is None or args.t is None:
+        raise ValueError("without --config, provide at least --family, --c and --t")
     else:
-        if args.family is None or args.c is None or args.t is None:
-            raise ValueError("without --config, provide at least --family, --c and --t")
-        configs = [harness.config_from_dict({"trials": 1, "master_seed": 0, **flags})]
+        text = '{"trials": 1, "master_seed": 0}'
+    configs = harness.configs_from_json(text, **flags)
     results = harness.sweep_results(configs, max_workers=args.workers)
     for cfg, summary, error in results:
         label = f"{cfg.family} t={cfg.t} seed={cfg.master_seed}"

@@ -4,9 +4,11 @@ Every generator is a pure function of its arguments: calling it twice with
 the same inputs yields bitwise-identical adjacency rows.
 """
 
+import operator
+
 import numpy as np
 
-from .graphs import Graph, MAX_VERTICES, graph_from_rows
+from .graphs import Graph, MAX_VERTICES
 
 _CHUNK = 1 << 20
 
@@ -47,7 +49,12 @@ def c5_blowup_complement(part_sizes) -> Graph:
     at most 2; part sizes are caller-chosen so experiments can sweep density
     deterministically.
     """
-    sizes = [int(s) for s in part_sizes]
+    sizes = []
+    for s in part_sizes:
+        try:
+            sizes.append(operator.index(s))
+        except TypeError:
+            raise ValueError(f"part size {s!r} is not an integer") from None
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
@@ -64,7 +71,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
         blow_row = part_masks[(i - 1) % 5] | part_masks[(i + 1) % 5]
         for v in range(offsets[i], offsets[i] + sizes[i]):
             rows.append((full ^ blow_row) ^ (1 << v))
-    return graph_from_rows(rows)
+    return Graph(tuple(rows))
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -90,7 +97,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
                     rows[v] |= 1 << u
     full = (1 << n) - 1
     comp = [(full ^ row) ^ (1 << v) for v, row in enumerate(rows)]
-    return graph_from_rows(comp)
+    return Graph(tuple(comp))
 
 
 def _decode_pair_indices(n: int, idx):

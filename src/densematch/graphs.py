@@ -33,14 +33,25 @@ def _bit_in_byte(v: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph given by its symmetric, loop-free bit rows.
 
-    ``n`` and ``m`` are derived from the rows, so they cannot disagree.
+    ``n`` and ``m`` are derived from the rows, so they cannot disagree.  The
+    rows are checked for bits outside ``0..n-1``, loop bits and an odd popcount sum.
     """
 
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) > MAX_VERTICES:
-            raise ValueError(f"vertex count {len(self.rows)} outside [0, {MAX_VERTICES}]")
+        n = len(self.rows)
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        total = 0
+        for v, row in enumerate(self.rows):
+            if row >> n:
+                raise ValueError(f"row {v} has bits outside vertices 0..{n - 1}")
+            if (row >> v) & 1:
+                raise ValueError(f"row {v} carries a self-loop bit")
+            total += row.bit_count()
+        if total % 2:
+            raise ValueError("rows are not symmetric (odd total popcount)")
 
     @cached_property
     def n(self) -> int:
@@ -114,27 +125,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-
-def graph_from_rows(rows) -> Graph:
-    """Build a graph from prepared bitset rows, one per vertex.
-
-    Rows must already be symmetric; only the cheap checks (bits outside
-    ``0..n-1``, loop bits, even total popcount) run here.  Generators use this
-    to skip edge-list costs.
-    """
-    rows = tuple(rows)
-    n = len(rows)
-    total = 0
-    for v, row in enumerate(rows):
-        if row >> n:
-            raise ValueError(f"row {v} has bits outside vertices 0..{n - 1}")
-        if (row >> v) & 1:
-            raise ValueError(f"row {v} carries a self-loop bit")
-        total += row.bit_count()
-    if total % 2:
-        raise ValueError("rows are not symmetric (odd total popcount)")
-    return Graph(rows)
 
 
 def from_edge_list(n: int, edges) -> Graph:

@@ -111,7 +111,6 @@ class ExperimentSummary:
     best: int
     mean: float
     median: float
-    bound_density: float
     wall_ms: float
 
 
@@ -124,7 +123,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     _, params = prepare_extraction(g, cfg.t)
     counts = [r.nonadjacent_pairs for r in reports]
     attempts = sum(r.rejection_attempts for r in reports)
-    pairs = cfg.t * (cfg.t - 1) // 2
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentSummary(
         config=cfg,
@@ -133,37 +131,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         best=min(counts),
         mean=statistics.fmean(counts),
         median=float(statistics.median(counts)),
-        # no pairs exist at t=1, so the density question is vacuous there
-        bound_density=params.pair_bound / pairs if pairs else 0.0,
         wall_ms=wall_ms,
     )
 
 
 def summary_to_dict(s: ExperimentSummary) -> dict:
     """Serialisable view of a summary; key order matches the CSV columns."""
-    cfg = s.config
-    return {
-        "family": cfg.family,
-        "params": cfg.family_params(),
-        "n": cfg.total_vertices(),
-        "c": cfg.c,
-        "c_prime": s.params.ratio,
-        "t": cfg.t,
-        "ell": s.params.slack,
-        "k": s.params.margin,
-        "p": s.params.pick_cap,
-        "q": s.params.accept_floor,
-        "threshold": s.params.threshold,
-        "trials": cfg.trials,
-        "acceptance_rate": s.acceptance_rate,
-        "bound": s.params.pair_bound,
-        "bound_density": s.bound_density,
-        "asymptotic_density": 1.0 / (cfg.c * (cfg.c - 1.0) ** 2),
-        "best": s.best,
-        "mean": s.mean,
-        "median": s.median,
-        "seed": cfg.master_seed,
-    }
+    return _row(s.config, s, None)
 
 
 def _run_safe(cfg: ExperimentConfig):
@@ -197,8 +171,6 @@ def sweep_results(configs, max_workers: int = 1):
 
 def _row(cfg: ExperimentConfig, summary: ExperimentSummary | None, error: str | None) -> dict:
     """One result as a dict in CSV column order; unknown values are left out."""
-    if error is None:
-        return summary_to_dict(summary)
     data = {
         "family": cfg.family,
         "params": cfg.family_params(),
@@ -209,7 +181,26 @@ def _row(cfg: ExperimentConfig, summary: ExperimentSummary | None, error: str | 
         "seed": cfg.master_seed,
         "error": error,
     }
-    return {key: value for key, value in data.items() if value is not None}
+    if summary is not None:
+        p = summary.params
+        pairs = cfg.t * (cfg.t - 1) // 2
+        data.update({
+            "c_prime": p.ratio,
+            "ell": p.slack,
+            "k": p.margin,
+            "p": p.pick_cap,
+            "q": p.accept_floor,
+            "threshold": p.threshold,
+            "acceptance_rate": summary.acceptance_rate,
+            "bound": p.pair_bound,
+            # no pairs exist at t=1, so the density question is vacuous there
+            "bound_density": p.pair_bound / pairs if pairs else 0.0,
+            "asymptotic_density": 1.0 / (cfg.c * (cfg.c - 1.0) ** 2),
+            "best": summary.best,
+            "mean": summary.mean,
+            "median": summary.median,
+        })
+    return {key: data[key] for key in CSV_COLUMNS if data.get(key) is not None}
 
 
 def render_csv(results) -> str:
@@ -226,11 +217,6 @@ def render_csv(results) -> str:
 def render_json(results) -> str:
     """JSON document for the same results (timing deliberately excluded)."""
     return json.dumps([_row(*result) for result in results], indent=2) + "\n"
-
-
-def sweep(configs, max_workers: int = 1) -> str:
-    """Run the grid and return the CSV text."""
-    return render_csv(sweep_results(configs, max_workers=max_workers))
 
 
 # what a config field must hold where it is not an integer (exact types, so
@@ -271,11 +257,15 @@ def config_from_dict(obj) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def configs_from_json(text: str) -> list[ExperimentConfig]:
-    """Parse one JSON config object, or an array of them for a sweep."""
+def configs_from_json(text: str, **overrides) -> list[ExperimentConfig]:
+    """Parse one JSON config object, or an array of them for a sweep.
+
+    ``overrides`` replace or supply fields of each object before it is checked.
+    """
     data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
         raise ValueError("config file must hold a JSON object or array")
-    return [config_from_dict(obj) for obj in data]
+    return [config_from_dict({**obj, **overrides} if isinstance(obj, dict) else obj)
+            for obj in data]

@@ -18,7 +18,7 @@ from densematch import (ExperimentConfig, connected_matching_number,
                         extract_best, min_nonadjacent_matching, nonadjacent_pairs,
                         optimal_slack, two_cliques)
 from densematch.errors import InfeasibleError, ParameterError, SamplingFailure
-from densematch.harness import render_csv, render_json, sweep_results
+from densematch.harness import render_csv, render_json, summary_to_dict, sweep_results
 from densematch.sampling import empirical_deviation_rate, pair_inclusion_frequencies
 from helpers import (count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      random_alpha2_graph, random_matching_of)
@@ -195,7 +195,7 @@ def test_criterion_07_closed_form_reproduction():
 
 
 def test_criterion_08_density_trend(crit8_results):
-    densities = [summary.bound_density for _, summary, _ in crit8_results]
+    densities = [summary_to_dict(summary)["bound_density"] for _, summary, _ in crit8_results]
     limit_density = 1.0 / (8 * 49)
     gaps = [d - limit_density for d in densities]
     checks = [

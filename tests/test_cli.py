@@ -130,6 +130,14 @@ class TestOracle:
         assert code == 2
         assert "limit 0" in err
 
+    @pytest.mark.parametrize("op", ["badquads", "audit"])
+    def test_limit_rejected_where_unused(self, tmp_path, capsys, op):
+        path = self.graph_file(tmp_path, two_cliques(13))
+        code, out, err = run_cli(capsys, "oracle", "--graph", path, "--op", op,
+                                 "--t", "6", "--limit", "30")
+        assert code == 2 and out == ""
+        assert "--limit" in err and "cm, omega and minmatch" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--graph", "/no/such/file",
                                "--op", "cm")
@@ -205,6 +213,16 @@ class TestExperiment:
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"family": "complete", "c": 8.0, "t": 10,
                                     "trials": 3, "master_seed": 1, "n": 80}))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(path),
+                               "--trials", "7")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[0]["trials"] == "7"
+
+    def test_flag_supplies_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "no-trials.json"
+        path.write_text(json.dumps({"family": "complete", "c": 8.0, "t": 10,
+                                    "master_seed": 1, "n": 80}))
         code, out, _ = run_cli(capsys, "experiment", "--config", str(path),
                                "--trials", "7")
         assert code == 0

@@ -94,6 +94,10 @@ class TestC5BlowupComplement:
             c5_blowup_complement((1, 1, 1, 1))
         with pytest.raises(ValueError):
             c5_blowup_complement((1, 1, 0, 1, 1))
+        with pytest.raises(ValueError, match="part size 1.5 is not an integer"):
+            c5_blowup_complement([1.5, 1, 1, 1, 1.9])
+        assert c5_blowup_complement(np.array([1, 2, 1, 3, 2])) == c5_blowup_complement(
+            (1, 2, 1, 3, 2))
 
 
 class TestFamilyInvariants:

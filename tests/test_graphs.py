@@ -7,8 +7,8 @@ from densematch import (Graph, Matching, build_family,
                         complement_of_random_triangle_free, is_alpha_at_most_2,
                         read_edge_list, two_cliques, write_edge_list)
 from densematch.graphs import (MAX_VERTICES, complement, delete_vertex,
-                               format_edge_list, from_edge_list, graph_from_rows,
-                               min_degree, parse_edge_list)
+                               format_edge_list, from_edge_list, min_degree,
+                               parse_edge_list)
 from helpers import brute_alpha_at_most_2, random_graph
 
 
@@ -66,14 +66,25 @@ class TestFromEdgeList:
 class TestGraphFromRows:
     def test_bit_at_or_above_n_rejected(self):
         with pytest.raises(ValueError, match="row 0 has bits outside"):
-            graph_from_rows([0b100, 0b100])
+            Graph((0b100, 0b100))
+        # such rows would report an m that their own edge list contradicts
+        with pytest.raises(ValueError, match="row 0 has bits outside"):
+            Graph((1 << 9, 0))
 
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError, match="row 1 has bits outside"):
-            graph_from_rows([0, -1])
+            Graph((0, -1))
+
+    def test_self_loop_bit_rejected(self):
+        with pytest.raises(ValueError, match="row 0 carries a self-loop bit"):
+            Graph((0b1,))
+
+    def test_odd_popcount_rejected(self):
+        with pytest.raises(ValueError, match="odd total popcount"):
+            Graph((0b10, 0))
 
     def test_top_vertex_accepted(self):
-        g = graph_from_rows([1 << 8] + [0] * 7 + [1])
+        g = Graph(tuple([1 << 8] + [0] * 7 + [1]))
         assert list(g.edges()) == [(0, 8)]
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from densematch import (ExperimentConfig, derive_params, harness, optimal_slack,
-                        run_experiment, sweep)
+                        run_experiment)
 from densematch.harness import (CSV_COLUMNS, configs_from_json, render_csv,
                                 render_json, summary_to_dict, sweep_results)
 
@@ -46,7 +46,7 @@ class TestRunExperiment:
                                master_seed=3, n=12)
         s = run_experiment(cfg)
         assert s.best == 0
-        assert s.bound_density == 0.0
+        assert summary_to_dict(s)["bound_density"] == 0.0
         assert s.params.pair_bound == 0.0
 
     def test_deterministic(self):
@@ -77,7 +77,7 @@ class TestSweep:
         ]
 
     def test_single_config_grid(self):
-        text = sweep(self.small_grid()[:1])
+        text = render_csv(sweep_results(self.small_grid()[:1]))
         rows = parse_csv(text)
         assert len(rows) == 1
         assert rows[0]["best"] == "0"
@@ -85,7 +85,7 @@ class TestSweep:
         assert rows[0]["wall_ms"] == ""
 
     def test_column_order_is_fixed(self):
-        text = sweep(self.small_grid())
+        text = render_csv(sweep_results(self.small_grid()))
         header = text.splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
@@ -93,7 +93,7 @@ class TestSweep:
         grid = self.small_grid()
         bad = ExperimentConfig(family="complete", c=4.0, t=10, trials=5,
                                master_seed=1, n=80)
-        rows = parse_csv(sweep([grid[0], bad, grid[1]]))
+        rows = parse_csv(render_csv(sweep_results([grid[0], bad, grid[1]])))
         assert len(rows) == 3
         assert rows[0]["error"] == ""
         assert "exceed 4" in rows[1]["error"]
@@ -102,11 +102,12 @@ class TestSweep:
 
     def test_reproducible_bytes(self):
         grid = self.small_grid()
-        assert sweep(grid) == sweep(grid)
+        assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))
 
     def test_parallel_matches_serial(self):
         grid = self.small_grid()
-        assert sweep(grid, max_workers=1) == sweep(grid, max_workers=2)
+        assert (render_csv(sweep_results(grid, max_workers=1))
+                == render_csv(sweep_results(grid, max_workers=2)))
 
     def test_bound_density_decreasing_in_t(self):
         densities = []
@@ -128,7 +129,7 @@ class TestSweep:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep([])
+            render_csv(sweep_results([]))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, workers):
@@ -153,8 +154,10 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         grid = self.small_grid()
-        assert sweep(grid, max_workers=5000) == sweep(grid)
-        assert sweep(grid[:1], max_workers=5000) == sweep(grid[:1])
+        assert (render_csv(sweep_results(grid, max_workers=5000))
+                == render_csv(sweep_results(grid)))
+        assert (render_csv(sweep_results(grid[:1], max_workers=5000))
+                == render_csv(sweep_results(grid[:1])))
         assert sizes == [2]
 
     @pytest.mark.parametrize("bad, n", [
