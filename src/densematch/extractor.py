@@ -11,7 +11,6 @@ concrete matching.
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -136,13 +135,12 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _uniform_subset(items: list, k: int, rng: np.random.Generator) -> list:
-    """Uniform ``k``-subset by partial Fisher-Yates shuffle."""
-    pool = list(items)
-    if k > len(pool):
-        raise ValueError(f"cannot pick {k} items from {len(pool)}")
-    for i in range(k):
-        j = int(rng.integers(i, len(pool)))
+def _uniform_subset(size: int, k: int, rng: np.random.Generator) -> list[int]:
+    """Indices of a uniform ``k``-subset of ``range(size)``, by partial Fisher-Yates shuffle."""
+    if k > size:
+        raise ValueError(f"cannot pick {k} items from {size}")
+    pool = list(range(size))
+    for i, j in enumerate(rng.integers(np.arange(k), size).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 
@@ -162,12 +160,10 @@ def extract_once(g: Graph, params: ExtractionParams, rng: np.random.Generator,
         raise ValueError("graph order must be even (delete a vertex first)")
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
-    pairs, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
-    ends = np.array(pairs).T
-    in_graph = list(compress(pairs, g.has_edges(ends[0], ends[1])))
-    matching = Matching(tuple(sorted(_uniform_subset(in_graph, t, rng))))
+    edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
+    matching = Matching(edges[_uniform_subset(len(edges), t, rng)].tolist())
     count = nonadjacent_pairs(g, matching)
-    report = TrialReport(seed, attempts, len(in_graph), count,
+    report = TrialReport(seed, attempts, len(edges), count,
                          params.pair_bound, count <= params.pair_bound)
     return matching, report
 
@@ -213,5 +209,5 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
                               f"all {trials} trials exhausted {max_attempts} attempts each")
     if parity_fixed:
         # deletion remapped ids w > 0 to w - 1; shift back to the input's ids
-        best_matching = Matching(tuple((u + 1, v + 1) for u, v in best_matching.edges))
+        best_matching = Matching((u + 1, v + 1) for u, v in best_matching.edges)
     return best_matching, reports

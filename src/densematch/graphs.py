@@ -40,6 +40,8 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        # a list of rows would leave the graph unhashable and unequal to the tuple build
+        object.__setattr__(self, "rows", tuple(self.rows))
         n = len(self.rows)
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
@@ -113,14 +115,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class Matching:
-    """Pairwise vertex-disjoint edges, stored as sorted ``(u, v)`` pairs."""
+    """Pairwise vertex-disjoint edges, stored as sorted ``(u, v)`` pairs.
+
+    ``Matching(pairs)`` takes any iterable of endpoint pairs and stores each
+    pair smaller end first, the pairs sorted, as a tuple.
+    """
 
     edges: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Matching":
-        norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
-        return cls(tuple(norm))
+    def __post_init__(self):
+        norm = sorted((u, v) if u < v else (v, u) for u, v in self.edges)
+        object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def size(self) -> int:

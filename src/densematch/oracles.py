@@ -223,7 +223,7 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
     dfs(0, 0, 0)
     if best_edges is None:
         raise InfeasibleError(f"graph has no matching of size {t}")
-    return Matching.from_pairs(best_edges), best_count
+    return Matching(best_edges), best_count
 
 
 def _max_bipartite_matching(g: Graph, left, right) -> dict[int, int]:
@@ -271,7 +271,7 @@ def matching_from_clique(g: Graph, clique_a) -> Matching:
     pairs = [(u, match_of[u]) for u in a if u in match_of]
     leftover = [u for u in a if u not in match_of]
     pairs.extend(zip(leftover[0::2], leftover[1::2]))
-    return Matching.from_pairs(pairs)
+    return Matching(pairs)
 
 
 def clique_bound_audit(g: Graph, t: int) -> bool:

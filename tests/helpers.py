@@ -1,8 +1,10 @@
-"""Brute-force reference oracles and instance factories for the test suite.
+"""Brute-force reference oracles, Monte Carlo estimators and instance
+factories for the test suite.
 
-Everything here is deliberately naive: plain loops over tuples and subsets.
-These are the independent yardsticks the fast implementations get checked
-against, so they must not share code with the package internals.
+Everything here is deliberately naive: plain loops over tuples and subsets,
+and partitions drawn by their own shuffle-then-pair step.  These are the
+independent yardsticks the fast implementations get checked against, so
+they must not share code with the package internals.
 """
 
 import itertools
@@ -45,6 +47,96 @@ def all_pairings(items):
         rest = items[1:i] + items[i + 1:]
         for tail in all_pairings(rest):
             yield tuple(sorted((pair,) + tail))
+
+
+# permutation rows per vectorised batch in pair_inclusion_frequencies
+_CHUNK = 1 << 16
+
+
+def _shuffled_pairs(arr: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """Shuffle ``arr``, pair consecutive entries and write each pair smaller end first."""
+    shuffled = arr[rng.permutation(arr.size)]
+    a, b = shuffled[0::2], shuffled[1::2]
+    return tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
+def sample_partition(s, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """Uniform partition of ``s`` into pairs (shuffle, then pair up), smaller ends first.
+
+    Every one of the ``(|S|-1)!!`` partitions is equally likely; a fixed
+    pair belongs to one with probability ``1/(|S|-1)``, and two disjoint
+    fixed pairs jointly with probability ``1/((|S|-1)(|S|-3))``.
+    """
+    items = sorted(s)
+    if len(items) < 2 or len(items) % 2:
+        raise ValueError(f"partition into pairs needs an even set of size >= 2, got {len(items)}")
+    return _shuffled_pairs(np.asarray(items), rng)
+
+
+def empirical_deviation_rate(s, f, lam: float, trials: int, rng: np.random.Generator) -> float:
+    """Fraction of sampled partitions where ``|F ∩ X|`` strays from its mean.
+
+    The mean of ``|F ∩ X|`` is ``|F|/(|S|-1)`` and a second-moment argument
+    caps the probability of a deviation of at least ``lam`` by
+    ``min(1, |S|/lam**2)``; this estimates the left side of that bound.
+    """
+    items = sorted(s)
+    if len(items) < 4 or len(items) % 2:
+        raise ValueError("deviation rate needs an even set of size >= 4")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    wanted = {(min(a, b), max(a, b)) for a, b in f}
+    target = len(wanted) / (len(items) - 1)
+    arr = np.asarray(items)
+    hits = 0
+    for _ in range(trials):
+        count = sum(p in wanted for p in _shuffled_pairs(arr, rng))
+        if abs(count - target) >= lam:
+            hits += 1
+    return hits / trials
+
+
+def pair_inclusion_frequencies(s, e, f, samples: int,
+                               rng: np.random.Generator) -> tuple[float, float]:
+    """Monte Carlo frequencies of ``e ∈ X`` and ``e, f ∈ X`` over uniform partitions.
+
+    Vectorised shuffle-then-pair sampling (rows of index permutations; a pair
+    is present iff its two positions differ only in the last bit), so large
+    sample counts stay cheap.  ``e`` and ``f`` must be disjoint pairs over ``s``.
+    """
+    items = sorted(s)
+    size = len(items)
+    if size < 4 or size % 2:
+        raise ValueError("need an even ground set of size >= 4")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    index = {x: i for i, x in enumerate(items)}
+    try:
+        ia, ib = index[e[0]], index[e[1]]
+        ic, id_ = index[f[0]], index[f[1]]
+    except KeyError as missing:
+        raise ValueError(f"pair element {missing} is not in the ground set") from None
+    if len({ia, ib, ic, id_}) != 4:
+        raise ValueError("e and f must be disjoint pairs of distinct elements")
+    base = np.arange(size)
+    count_e = 0
+    count_both = 0
+    done = 0
+    while done < samples:
+        rows = min(_CHUNK, samples - done)
+        perms = rng.permuted(np.tile(base, (rows, 1)), axis=1)
+        pa = np.argmax(perms == ia, axis=1)
+        pb = np.argmax(perms == ib, axis=1)
+        in_e = (pa ^ 1) == pb
+        pc = np.argmax(perms == ic, axis=1)
+        pd = np.argmax(perms == id_, axis=1)
+        in_f = (pc ^ 1) == pd
+        count_e += int(in_e.sum())
+        count_both += int((in_e & in_f).sum())
+        done += rows
+    return count_e / samples, count_both / samples
 
 
 def all_matchings(g: Graph, max_size: int | None = None):
@@ -129,7 +221,7 @@ def random_matching_of(g: Graph, rng: np.random.Generator,
         picked.append(edges[i])
         if max_size is not None and len(picked) == max_size:
             break
-    return Matching.from_pairs(picked)
+    return Matching(picked)
 
 
 def greedy_clique(g: Graph, rng: np.random.Generator) -> list[int]:

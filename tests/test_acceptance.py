@@ -19,8 +19,8 @@ from densematch import (ExperimentConfig, connected_matching_number,
                         optimal_slack, two_cliques)
 from densematch.errors import InfeasibleError, ParameterError, SamplingFailure
 from densematch.harness import render_csv, render_json, summary_to_dict, sweep_results
-from densematch.sampling import empirical_deviation_rate, pair_inclusion_frequencies
 from helpers import (count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
+                     empirical_deviation_rate, pair_inclusion_frequencies,
                      random_alpha2_graph, random_matching_of)
 
 

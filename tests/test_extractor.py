@@ -157,15 +157,15 @@ class TestSelectionProbability:
     def test_per_edge_frequency_at_most_pick_cap(self):
         g = complement_of_random_triangle_free(24, 6)
         _, params = prepare_extraction(g, 2)
-        pairs, _ = sample_edge_heavy_partition(g, params.threshold, 10**4,
+        edges, _ = sample_edge_heavy_partition(g, params.threshold, 10**4,
                                                np.random.default_rng(4))
-        pool = [p for p in pairs if g.has_edge(*p)]
+        pool = [tuple(p) for p in edges.tolist()]
         rng = np.random.default_rng(5)
         rounds = 10_000
         hits = {p: 0 for p in pool}
         for _ in range(rounds):
-            for p in _uniform_subset(pool, params.t, rng):
-                hits[p] += 1
+            for i in _uniform_subset(len(pool), params.t, rng):
+                hits[pool[i]] += 1
         expected = params.t / len(pool)
         assert expected <= params.pick_cap
         sigma = math.sqrt(expected * (1 - expected) / rounds)

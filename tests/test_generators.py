@@ -41,7 +41,7 @@ class TestCompleteGraph:
         g = complete_graph(6)
         for edges in all_matchings(g, max_size=3):
             if len(edges) == 3:
-                assert nonadjacent_pairs(g, Matching.from_pairs(edges)) == 0
+                assert nonadjacent_pairs(g, Matching(edges)) == 0
 
 
 class TestRandomTriangleFreeComplement:

@@ -87,6 +87,14 @@ class TestGraphFromRows:
         g = Graph(tuple([1 << 8] + [0] * 7 + [1]))
         assert list(g.edges()) == [(0, 8)]
 
+    def test_list_of_rows_builds_the_tuple_graph(self):
+        rows = (0b10, 0b01)
+        assert Graph(rows).rows is rows
+        g = Graph(list(rows))
+        assert g == Graph(rows)
+        assert hash(g) == hash(Graph(rows))
+        assert {g: 1}[Graph(rows)] == 1
+
 
 def _packed_test_graphs():
     rng = np.random.default_rng(808)
@@ -233,8 +241,8 @@ class TestDeleteVertex:
 
 
 class TestMatchingValue:
-    def test_from_pairs_normalises(self):
-        m = Matching.from_pairs([(3, 2), (0, 1)])
+    def test_constructor_normalises(self):
+        m = Matching([(3, 2), (0, 1)])
         assert m.edges == ((0, 1), (2, 3))
         assert m.size == 2
 

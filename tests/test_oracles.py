@@ -17,29 +17,29 @@ from helpers import (all_matchings, brute_clique_number,
 class TestNonadjacentPairs:
     def test_clique_matching_has_none(self):
         g = complete_graph(8)
-        m = Matching.from_pairs([(0, 1), (2, 3), (4, 5)])
+        m = Matching([(0, 1), (2, 3), (4, 5)])
         assert nonadjacent_pairs(g, m) == 0
 
     def test_cross_component_pair(self):
         g = two_cliques(5)
-        m = Matching.from_pairs([(0, 1), (5, 6)])
+        m = Matching([(0, 1), (5, 6)])
         assert nonadjacent_pairs(g, m) == 1
 
     def test_within_one_clique(self):
         g = two_cliques(5)
-        m = Matching.from_pairs([(0, 1), (2, 3)])
+        m = Matching([(0, 1), (2, 3)])
         assert nonadjacent_pairs(g, m) == 0
 
     def test_single_edge_vacuous(self):
         g = two_cliques(5)
-        assert nonadjacent_pairs(g, Matching.from_pairs([(0, 1)])) == 0
+        assert nonadjacent_pairs(g, Matching([(0, 1)])) == 0
 
     def test_invalid_matchings_rejected(self):
         g = two_cliques(3)
         with pytest.raises(ValueError, match="not an edge"):
-            validate_matching(g, Matching.from_pairs([(0, 3)]))
+            validate_matching(g, Matching([(0, 3)]))
         with pytest.raises(ValueError, match="reuses"):
-            validate_matching(g, Matching.from_pairs([(0, 1), (1, 2)]))
+            validate_matching(g, Matching([(0, 1), (1, 2)]))
         with pytest.raises(ValueError, match="invalid edge"):
             validate_matching(g, Matching(((2, 2),)))
 
@@ -49,7 +49,7 @@ class TestNonadjacentPairs:
         for message, pairs in bad.items():
             g = two_cliques(3)
             with pytest.raises(ValueError, match=message):
-                nonadjacent_pairs(g, Matching.from_pairs(pairs))
+                nonadjacent_pairs(g, Matching(pairs))
             assert "packed" not in vars(g)
 
     def test_packed_and_scan_agree_across_byte_boundaries(self):
@@ -63,7 +63,7 @@ class TestNonadjacentPairs:
             base = random_graph(n, p, rng)
             g = from_edge_list(n, list(base.edges()) + perfect)
             for t in (0, 1, 2, n // 2):
-                m = Matching.from_pairs(perfect[:t])
+                m = Matching(perfect[:t])
                 fast = nonadjacent_pairs(g, m)
                 assert fast == count_nonadjacent_pairs_naive(g, m.edges), (p, t)
 

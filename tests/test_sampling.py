@@ -7,9 +7,9 @@ from scipy import stats
 from densematch import complement_of_random_triangle_free, complete_graph, two_cliques
 from densematch.errors import SamplingFailure
 from densematch.graphs import from_edge_list
-from densematch.sampling import (empirical_deviation_rate, pair_inclusion_frequencies,
-                                 sample_edge_heavy_partition, sample_partition)
-from helpers import all_pairings
+from densematch.sampling import sample_edge_heavy_partition
+from helpers import (all_pairings, empirical_deviation_rate, pair_inclusion_frequencies,
+                     sample_partition)
 
 
 def all_pairs(items):
@@ -139,9 +139,9 @@ class TestDeviationRate:
 class TestEdgeHeavyPartition:
     def test_complete_graph_accepts_first_try(self):
         g = complete_graph(4)
-        pairs, attempts = sample_edge_heavy_partition(g, 2, 100, np.random.default_rng(0))
+        edges, attempts = sample_edge_heavy_partition(g, 2, 100, np.random.default_rng(0))
         assert attempts == 1
-        assert all(g.has_edge(*p) for p in pairs)
+        assert all(g.has_edge(u, v) for u, v in edges.tolist())
 
     def test_edgeless_graph_fails(self):
         g = from_edge_list(6, [])
@@ -180,7 +180,26 @@ class TestEdgeHeavyPartition:
         for n in (2, 10, 64):
             plain_rng, heavy_rng = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(3):
-                pairs, attempts = sample_edge_heavy_partition(complete_graph(n), 0, 1, heavy_rng)
+                edges, attempts = sample_edge_heavy_partition(complete_graph(n), 0, 1, heavy_rng)
                 assert attempts == 1
-                assert pairs == sample_partition(range(n), plain_rng)
+                assert edges.tolist() == [list(p) for p in sample_partition(range(n), plain_rng)]
             assert plain_rng.integers(1 << 62) == heavy_rng.integers(1 << 62)
+
+    def test_returns_edge_pairs_in_draw_order(self):
+        # the array holds exactly the partition's pairs that are edges, in the
+        # order sample_partition draws them, and consumes the same stream
+        g = two_cliques(8)
+        for seed in range(5):
+            plain_rng, heavy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            edges, _ = sample_edge_heavy_partition(g, 0, 1, heavy_rng)
+            pairs = sample_partition(range(16), plain_rng)
+            assert edges.tolist() == [list(p) for p in pairs if g.has_edge(*p)]
+            assert plain_rng.bit_generator.state == heavy_rng.bit_generator.state
+
+    def test_accepted_edges_meet_threshold(self):
+        g = two_cliques(8)  # 56 edges, so a uniform partition holds 56/15 on average
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            edges, _ = sample_edge_heavy_partition(g, 6, 10**4, rng)
+            assert edges.shape[1] == 2 and len(edges) >= 6
+            assert (edges[:, 0] < edges[:, 1]).all()
