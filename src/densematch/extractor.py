@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SamplingFailure
-from .graphs import Graph, Matching, delete_vertex, is_alpha_at_most_2
+from .graphs import Graph, Matching, is_alpha_at_most_2
 from .oracles import nonadjacent_pairs
 from .sampling import DEFAULT_MAX_ATTEMPTS, sample_edge_heavy_partition
 
@@ -112,7 +112,8 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
     is recomputed from the remaining order, so a graph larger than strictly
     necessary only improves the bound.
     """
-    g = delete_vertex(g_raw, 0) if g_raw.n % 2 else g_raw
+    # dropping row 0 and bit 0 of every other row renumbers each w > 0 to w - 1
+    g = Graph(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
     ratio = g.n / t
     return g, derive_params(ratio, t, optimal_slack(ratio, t))
 
@@ -156,8 +157,6 @@ def extract_once(g: Graph, params: ExtractionParams, rng: np.random.Generator,
     selected with probability ``t / intersection_size <= pick_cap``.
     """
     t = params.t
-    if g.n % 2:
-        raise ValueError("graph order must be even (delete a vertex first)")
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
     edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
@@ -185,29 +184,25 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
         raise ValueError(f"graph order {g_raw.n} is below c*t = {c * t:.6g}")
     if not is_alpha_at_most_2(g_raw):
         raise ValueError("graph has three pairwise non-adjacent vertices")
-    parity_fixed = g_raw.n % 2 == 1
     g, params = prepare_extraction(g_raw, t)
-    best_key: tuple[int, int] | None = None
-    best_matching: Matching | None = None
+    best: tuple[Matching, TrialReport] | None = None
     reports: list[TrialReport] = []
-    failed = 0
     for index in range(trials):
         seed = trial_seed(master_seed, index)
         rng = np.random.default_rng(seed)
         try:
             matching, report = extract_once(g, params, rng, seed=seed, max_attempts=max_attempts)
         except SamplingFailure:
-            failed += 1
             continue
         reports.append(report)
-        key = (report.nonadjacent_pairs, index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_matching = matching
-    if best_matching is None:
-        raise SamplingFailure(failed * max_attempts,
+        # strictly fewer pairs only, so ties stay with the lowest index
+        if best is None or report.nonadjacent_pairs < best[1].nonadjacent_pairs:
+            best = matching, report
+    if best is None:
+        raise SamplingFailure(trials * max_attempts,
                               f"all {trials} trials exhausted {max_attempts} attempts each")
-    if parity_fixed:
-        # deletion remapped ids w > 0 to w - 1; shift back to the input's ids
-        best_matching = Matching((u + 1, v + 1) for u, v in best_matching.edges)
-    return best_matching, reports
+    matching = best[0]
+    if g_raw.n % 2:
+        # the parity fix renumbered ids w > 0 to w - 1; shift back to the input's ids
+        matching = Matching((u + 1, v + 1) for u, v in matching.edges)
+    return matching, reports

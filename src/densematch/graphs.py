@@ -35,6 +35,8 @@ class Graph:
 
     ``n`` and ``m`` are derived from the rows, so they cannot disagree.  The
     rows are checked for bits outside ``0..n-1``, loop bits and an odd popcount sum.
+    Symmetry itself is not checked, only its parity: ``Graph((0b10, 0b100, 0))``
+    builds, with ``m == 1`` and ``has_edge(0, 1) != has_edge(1, 0)``.
     """
 
     rows: tuple[int, ...]
@@ -171,20 +173,6 @@ def min_degree(g: Graph) -> int:
     if g.n < 1:
         raise ValueError("degree of an empty graph is undefined")
     return min(row.bit_count() for row in g.rows)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove vertex ``v``, remapping every id ``w > v`` to ``w - 1``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    low_mask = (1 << v) - 1
-    rows = []
-    for u in range(g.n):
-        if u == v:
-            continue
-        row = g.rows[u]
-        rows.append((row & low_mask) | ((row >> (v + 1)) << v))
-    return Graph(tuple(rows))
 
 
 def format_edge_list(g: Graph) -> str:

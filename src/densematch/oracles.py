@@ -92,21 +92,20 @@ def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     return BadQuadrupleCount(total, bound)
 
 
-def _max_clique(n: int, rows, cap: int | None = None) -> tuple[int, list[int]]:
-    """Maximum clique by branch and bound with a greedy colouring bound.
+def _max_clique(n: int, rows, cap: int | None = None) -> int:
+    """Clique number by branch and bound with a greedy colouring bound.
 
-    A clique takes at most one vertex per colour class of any proper
-    colouring of the candidate set, so the class index of a vertex bounds
-    every extension through it.  ``cap`` is an a-priori ceiling on the clique
-    number; the search stops outright once a clique of that size is found.
+    Returns the size of a largest clique only, not its vertices.  A clique
+    takes at most one vertex per colour class of any proper colouring of the
+    candidate set, so the class index of a vertex bounds every extension
+    through it.  ``cap`` is an a-priori ceiling on the clique number; the
+    search stops outright once a clique of that size is found.
     """
-    best: list[int] = []
-    if n == 0:
-        return 0, best
+    best = 0
 
-    def expand(chosen: list[int], cand: int):
+    def expand(depth: int, cand: int):
         nonlocal best
-        if cap is not None and len(best) >= cap:
+        if cap is not None and best >= cap:
             return
         order: list[int] = []
         limits: list[int] = []
@@ -123,28 +122,25 @@ def _max_clique(n: int, rows, cap: int | None = None) -> tuple[int, list[int]]:
                 order.append(v)
                 limits.append(colour)
         for i in range(len(order) - 1, -1, -1):
-            if len(chosen) + limits[i] <= len(best):
+            if depth + limits[i] <= best:
                 return
             v = order[i]
-            chosen.append(v)
             sub = cand & rows[v]
             if sub:
-                expand(chosen, sub)
-            elif len(chosen) > len(best):
-                best = chosen.copy()
-            chosen.pop()
+                expand(depth + 1, sub)
+            elif depth + 1 > best:
+                best = depth + 1
             cand ^= 1 << v
 
-    expand([], (1 << n) - 1)
-    return len(best), best
+    expand(0, (1 << n) - 1)
+    return best
 
 
 def clique_number(g: Graph, limit: int = OMEGA_LIMIT) -> int:
     """Exact clique number by bitset branch and bound."""
     if g.n > limit:
         raise SizeLimitError(f"graph order {g.n} exceeds clique-number limit {limit}")
-    size, _ = _max_clique(g.n, list(g.rows))
-    return size
+    return _max_clique(g.n, list(g.rows))
 
 
 def _compatibility_rows(g: Graph, edges) -> list[int]:
@@ -176,8 +172,7 @@ def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
     edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
     if not edges:
         return 0
-    size, _ = _max_clique(len(edges), _compatibility_rows(g, edges), cap=g.n // 2)
-    return size
+    return _max_clique(len(edges), _compatibility_rows(g, edges), cap=g.n // 2)
 
 
 def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:

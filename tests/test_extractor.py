@@ -8,8 +8,8 @@ import pytest
 from densematch import (c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         count_bad_quadruples, derive_params, extract_best,
-                        extract_once, nonadjacent_pairs, optimal_slack,
-                        two_cliques)
+                        extract_once, is_alpha_at_most_2, nonadjacent_pairs,
+                        optimal_slack, two_cliques)
 from densematch.errors import ParameterError, SamplingFailure
 from densematch.extractor import (ExtractionParams, _uniform_subset,
                                   prepare_extraction, trial_seed)
@@ -144,6 +144,12 @@ class TestExtractOnce:
         with pytest.raises(ValueError, match="does not match"):
             extract_once(complete_graph(30), params, np.random.default_rng(0))
 
+    def test_odd_order_rejected_by_the_sampler(self):
+        params = derive_params(8.25, 4, optimal_slack(8.25, 4))
+        assert round(params.ratio * params.t) == 33
+        with pytest.raises(ValueError, match="graph order must be even"):
+            extract_once(complete_graph(33), params, np.random.default_rng(0))
+
     def test_sampling_failure_propagates(self):
         params = ExtractionParams(ratio=8.0, t=4, slack=1.0, margin=2.5,
                                   accept_floor=0.5, pick_cap=0.4,
@@ -151,6 +157,22 @@ class TestExtractOnce:
         with pytest.raises(SamplingFailure):
             extract_once(two_cliques(16), params, np.random.default_rng(0),
                          max_attempts=25)
+
+
+class TestPrepareExtraction:
+    def test_odd_order_drops_vertex_zero(self):
+        cases = [(complement_of_random_triangle_free(13, 2), 1),
+                 (complement_of_random_triangle_free(33, 7), 4),
+                 (complement_of_random_triangle_free(65, 3), 8),
+                 (c5_blowup_complement([5, 6, 7, 8, 7]), 4),
+                 (complete_graph(41), 5)]
+        for g, t in cases:
+            assert g.n % 2 == 1 and is_alpha_at_most_2(g)
+            h, params = prepare_extraction(g, t)
+            # vertex 0 and its edges go; every id w > 0 becomes w - 1
+            assert h == from_edge_list(g.n - 1, [(u - 1, v - 1) for u, v in g.edges() if u > 0])
+            assert is_alpha_at_most_2(h)
+            assert params.ratio == h.n / t
 
 
 class TestSelectionProbability:
@@ -211,6 +233,31 @@ class TestExtractBest:
         assert statistics.fmean(counts) <= 1.15 * bound
         assert min(counts) == nonadjacent_pairs(g, matching)
         assert sum(1 for x in counts if x <= 2 * bound) >= 0.4 * len(counts)
+
+    def test_every_trial_failing_raises_one_aggregate(self):
+        # two K400 hold about 200 partition edges on average, far below the 285 demanded
+        with pytest.raises(SamplingFailure, match="all 3 trials exhausted 2 attempts each") as info:
+            extract_best(two_cliques(400), 8.0, 100, 3, master_seed=0, max_attempts=2)
+        assert info.value.attempts == 6
+
+    def test_failed_trials_are_skipped(self):
+        g = two_cliques(16)
+        _, params = prepare_extraction(g, 4)
+        trials = []
+        for index in range(8):
+            seed = trial_seed(21, index)
+            try:
+                trials.append(extract_once(g, params, np.random.default_rng(seed),
+                                           seed=seed, max_attempts=1))
+            except SamplingFailure:
+                trials.append(None)
+        survivors = [i for i, trial in enumerate(trials) if trial is not None]
+        # failures before and between survivors, and a three-way tie for the minimum
+        assert survivors == [1, 2, 4, 5, 7]
+        assert [trials[i][1].nonadjacent_pairs for i in survivors] == [4, 3, 3, 4, 3]
+        matching, reports = extract_best(g, 8.0, 4, 8, master_seed=21, max_attempts=1)
+        assert reports == [trials[i][1] for i in survivors]
+        assert matching == trials[2][0]
 
     def test_deterministic(self):
         g = complement_of_random_triangle_free(80, 1)

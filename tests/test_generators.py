@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestRandomTriangleFreeComplement:
         a = complement_of_random_triangle_free(20, 7)
         b = complement_of_random_triangle_free(20, 8)
         assert a != b
+
+    def test_golden_rows(self):
+        # pinned so that a rewrite of the generator must reproduce its output
+        # bit for bit, odd orders included
+        digest = hashlib.sha256()
+        for n, seed in ((2, 3), (7, 5), (64, 9), (65, 1), (129, 2), (1000, 4)):
+            digest.update(repr(complement_of_random_triangle_free(n, seed).rows).encode())
+        assert digest.hexdigest() == (
+            "c16235195531add01fdc7f332c342a2bafc7c3e53f5250f72075db94cb9ba6a2")
 
     def test_maximality(self):
         # every non-edge of the triangle-free graph closes a triangle

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from densematch import (Graph, Matching, build_family,
                         complement_of_random_triangle_free, is_alpha_at_most_2,
                         read_edge_list, two_cliques, write_edge_list)
-from densematch.graphs import (MAX_VERTICES, complement, delete_vertex,
-                               format_edge_list, from_edge_list, min_degree,
-                               parse_edge_list)
+from densematch.extractor import prepare_extraction
+from densematch.graphs import (MAX_VERTICES, complement, format_edge_list,
+                               from_edge_list, min_degree, parse_edge_list)
 from helpers import brute_alpha_at_most_2, random_graph
 
 
@@ -57,7 +57,8 @@ class TestFromEdgeList:
         g = from_edge_list(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
         families = [build_family("two-cliques", 8, None, 0), build_family("rtf", 13, None, 4),
                     build_family("c5", None, (1, 2, 1, 3, 2), 0), build_family("complete", 6, None, 0)]
-        for h in [g, complement(g), delete_vertex(g, 1), Graph((0, 0, 0)), *families]:
+        parity_fixed, _ = prepare_extraction(build_family("rtf", 33, None, 4), 4)
+        for h in [g, complement(g), parity_fixed, Graph((0, 0, 0)), *families]:
             assert h.n == len(h.rows)
             assert sum(row.bit_count() for row in h.rows) == 2 * h.m
             assert parse_edge_list(format_edge_list(h)) == h
@@ -213,31 +214,6 @@ class TestDegrees:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             min_degree(Graph(()))
-
-
-class TestDeleteVertex:
-    def test_remap(self):
-        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-        h = delete_vertex(g, 1)
-        # old vertices 0,2,3 become 0,1,2; only edge 2-3 survives as 1-2
-        assert h.n == 3
-        assert set(h.edges()) == {(1, 2)}
-
-    def test_counts(self):
-        g = two_cliques(4)
-        h = delete_vertex(g, 0)
-        assert (h.n, h.m) == (7, g.m - 3)
-
-    def test_preserves_alpha_bound(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            g = random_graph(int(rng.integers(2, 10)), float(rng.uniform(0.5, 1.0)), rng)
-            if is_alpha_at_most_2(g):
-                assert is_alpha_at_most_2(delete_vertex(g, 0))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delete_vertex(two_cliques(2), 4)
 
 
 class TestMatchingValue:
