@@ -10,7 +10,11 @@ import numpy as np
 
 from .graphs import Graph, MAX_VERTICES
 
-_CHUNK = 1 << 20
+# the random triangle-free process visits its first 32*n pairs unfiltered;
+# each later segment, 4x longer than the one before, is filtered against a
+# fresh closed-pair snapshot, so a few snapshots cover every pair
+_FIRST_SEGMENT_PER_VERTEX = 32
+_SEGMENT_GROWTH = 4
 
 
 def _check_n(n: int) -> None:
@@ -81,23 +85,56 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     added unless it would close a triangle.  Visiting every pair makes the
     triangle-free graph maximal, so the complement is dense and has
     independence number at most 2.  Deterministic for fixed ``(n, seed)``.
+
+    Past the first segment of the order, pairs whose ends already share a
+    neighbour are dropped before the visit.  This is exact: rows only grow,
+    so such a pair would still be rejected at its turn, and a rejected pair
+    changes nothing.
     """
     _check_n(n)
     rng = np.random.default_rng(seed)
     rows = [0] * n
+    neighbours = [[] for _ in range(n)]
     total = n * (n - 1) // 2
-    if total:
-        order = rng.permutation(total)
-        for start in range(0, total, _CHUNK):
-            chunk = order[start:start + _CHUNK]
-            us, vs = _decode_pair_indices(n, chunk)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                if not rows[u] & rows[v]:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+    order = rng.permutation(total)
+    start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
+    while start < total:
+        segment = order[start:start + length]
+        if start:
+            segment = segment[_closed_pairs(n, rows, neighbours)[segment] == 0]
+        us, vs = _decode_pair_indices(n, segment)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if not rows[u] & rows[v]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+        start += length
+        length *= _SEGMENT_GROWTH
     full = (1 << n) - 1
     comp = [(full ^ row) ^ (1 << v) for v, row in enumerate(rows)]
     return Graph(tuple(comp))
+
+
+def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
+    """One ``uint8`` per lexicographic pair index: 1 iff its ends share a neighbour.
+
+    Row ``u`` of the closed matrix is the OR of ``rows[w]`` over the
+    neighbours ``w`` of ``u``; its bits above ``u`` fill the slice of
+    pairs ``(u, u+1) .. (u, n-1)``.
+    """
+    closed = np.empty(n * (n - 1) // 2, dtype=np.uint8)
+    offset = 0
+    for u in range(n - 1):
+        width = n - 1 - u
+        reach = 0
+        for w in neighbours[u]:
+            reach |= rows[w]
+        packed = (reach >> (u + 1)).to_bytes((width + 7) // 8, "little")
+        closed[offset:offset + width] = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8), count=width, bitorder="little")
+        offset += width
+    return closed
 
 
 def _decode_pair_indices(n: int, idx):

@@ -139,6 +139,25 @@ def pair_inclusion_frequencies(s, e, f, samples: int,
     return count_e / samples, count_both / samples
 
 
+def reference_random_triangle_free_complement(n: int, seed: int) -> Graph:
+    """The random triangle-free process with every pair checked in its turn.
+
+    Same seeded permutation of the lexicographic pair indices as the package
+    generator, but pairs come from a plain ``combinations`` table and none is
+    skipped, so the generator's decoding and filtering are both checked.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [0] * n
+    for i in rng.permutation(len(pairs)).tolist():
+        u, v = pairs[i]
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    full = (1 << n) - 1
+    return Graph(tuple((full ^ row) ^ (1 << v) for v, row in enumerate(rows)))
+
+
 def all_matchings(g: Graph, max_size: int | None = None):
     """Yield every matching of ``g`` (including the empty one) as edge tuples."""
     edges = list(g.edges())

@@ -8,7 +8,8 @@ from densematch import (c5_blowup_complement,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
 from densematch.graphs import complement
-from helpers import all_matchings, brute_alpha_at_most_2
+from helpers import (all_matchings, brute_alpha_at_most_2,
+                     reference_random_triangle_free_complement)
 
 
 class TestTwoCliques:
@@ -74,12 +75,29 @@ class TestRandomTriangleFreeComplement:
         assert digest.hexdigest() == (
             "c16235195531add01fdc7f332c342a2bafc7c3e53f5250f72075db94cb9ba6a2")
 
+    def test_golden_rows_large(self):
+        # n=3200 visits most of its pairs only through the closed-pair filter
+        digest = hashlib.sha256(
+            repr(complement_of_random_triangle_free(3200, 11).rows).encode())
+        assert digest.hexdigest() == (
+            "37772196377f97f079259f787c8ade4c673f10f2f3043bff2bb33658bab64b28")
+
+    def test_matches_unfiltered_reference(self):
+        # sizes straddle the segment boundaries: n=65 fills exactly one
+        # segment of 32*n pairs, n=66 filters only its last 33 pairs
+        for n in (64, 65, 66, 67, 130, 131, 257, 700):
+            for seed in (0, 1, 2):
+                assert (complement_of_random_triangle_free(n, seed)
+                        == reference_random_triangle_free_complement(n, seed)), (n, seed)
+
     def test_maximality(self):
-        # every non-edge of the triangle-free graph closes a triangle
-        g = complement_of_random_triangle_free(24, 3)
-        tf = complement(g)
-        for u, v in g.edges():  # edges of g are exactly the tf non-edges
-            assert tf.rows[u] & tf.rows[v], f"pair ({u}, {v}) was addable"
+        # every non-edge of the triangle-free graph closes a triangle; n=300
+        # takes closed-pair snapshots, which n=24 never reaches
+        for n in (24, 300):
+            g = complement_of_random_triangle_free(n, 3)
+            tf = complement(g)
+            for u, v in g.edges():  # edges of g are exactly the tf non-edges
+                assert tf.rows[u] & tf.rows[v], f"pair ({u}, {v}) was addable"
 
 
 class TestC5BlowupComplement:
