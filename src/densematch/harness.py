@@ -5,7 +5,7 @@ statistics against the closed-form bound and the limiting density
 ``1/(c*(c-1)**2)``, and renders machine-readable CSV/JSON.  Serialised
 output is byte-reproducible: wall-clock time is measured and kept on the
 summary object for logging, but the CSV column stays empty and JSON omits
-it entirely.
+it entirely.  A sweep builds each distinct graph once.
 """
 
 import csv
@@ -103,7 +103,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregated trial statistics of one experiment."""
+    """Aggregated trial statistics of one experiment.
+
+    ``wall_ms`` is the config's wall-clock time, for logging only; the CSV
+    column stays empty and JSON omits it.  Where configs of a sweep share one
+    graph, the build is counted only in the config that built it.
+    """
 
     config: ExperimentConfig
     params: ExtractionParams
@@ -114,11 +119,8 @@ class ExperimentSummary:
     wall_ms: float
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Run one experiment; the result is a pure function of the config."""
-    cfg.validate()
-    start = time.perf_counter()
-    g = cfg.build_graph()
+def _summarise(cfg: ExperimentConfig, g: Graph, start: float) -> ExperimentSummary:
+    """Extract on ``g`` as ``cfg`` says; ``wall_ms`` runs from ``start``."""
     _, reports = extract_best(g, cfg.c, cfg.t, cfg.trials, cfg.master_seed)
     _, params = prepare_extraction(g, cfg.t)
     counts = [r.nonadjacent_pairs for r in reports]
@@ -135,38 +137,85 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     )
 
 
+def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
+    """Run one experiment; the result is a pure function of the config."""
+    cfg.validate()
+    start = time.perf_counter()
+    return _summarise(cfg, cfg.build_graph(), start)
+
+
 def summary_to_dict(s: ExperimentSummary) -> dict:
     """Serialisable view of a summary; key order matches the CSV columns."""
     return _row(s.config, s, None)
 
 
-def _run_safe(cfg: ExperimentConfig):
+def _attempt(fn, *args):
+    """``(fn(*args), None)``, or ``(None, message)`` if it raises."""
     try:
-        return run_experiment(cfg), None
+        return fn(*args), None
     except Exception as exc:  # noqa: BLE001 - error rows must not kill the sweep
-        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        return None, message
+        return None, f"{type(exc).__name__}: {exc}".replace("\n", " ")
+
+
+def _graph_key(cfg: ExperimentConfig) -> str:
+    """What :func:`build_family` reads of ``cfg``; equal keys name one graph.
+
+    ``repr`` is hashable whatever the fields hold and keeps ``1600`` apart
+    from ``1600.0``, so configs share a graph only where the builds agree.
+    """
+    return repr((cfg.family, cfg.n, cfg.parts, cfg.effective_graph_seed()))
+
+
+def _run_group(configs: list) -> list:
+    """``(summary, error)`` of each config in a group that names one graph.
+
+    The first config that passes validation builds the graph, and the rest
+    reuse it, so an immutable graph's packed rows and memoised alpha check
+    are shared too.  A failed build is the error of every valid member.
+    """
+    graph = build_error = None
+    outcomes = []
+    for cfg in configs:
+        _, error = _attempt(cfg.validate)
+        if error is None:
+            start = time.perf_counter()
+            if graph is None and build_error is None:
+                graph, build_error = _attempt(cfg.build_graph)
+            error = build_error
+        outcomes.append((None, error) if error else _attempt(_summarise, cfg, graph, start))
+    return outcomes
 
 
 def sweep_results(configs, max_workers: int = 1):
     """Run every config, collecting ``(config, summary, error)`` in grid order.
 
     Failed configs yield an error string instead of a summary; the rest of
-    the grid still runs.  Results do not depend on ``max_workers``.
+    the grid still runs.  Configs that name the same graph share one build,
+    which lives no longer than this call.  Results do not depend on
+    ``max_workers``.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
-    # the pool starts every worker up front, so never start more than there is work for
-    workers = min(max_workers, len(configs))
+    groups: dict[str, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_graph_key(cfg), []).append(i)
+    tasks = [[configs[i] for i in members] for members in groups.values()]
+    # one task per distinct graph, and the pool starts every worker up front,
+    # so never start more workers than there are graphs
+    workers = min(max_workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_safe, configs))
+            group_outcomes = list(pool.map(_run_group, tasks))
     else:
-        outcomes = [_run_safe(cfg) for cfg in configs]
-    return [(cfg, summary, error) for cfg, (summary, error) in zip(configs, outcomes)]
+        # one group at a time, so at most one built graph is alive
+        group_outcomes = [_run_group(task) for task in tasks]
+    outcomes = {}
+    for members, results in zip(groups.values(), group_outcomes):
+        outcomes.update(zip(members, results))
+    return [(cfg, *outcomes[i]) for i, cfg in enumerate(configs)]
 
 
 def _row(cfg: ExperimentConfig, summary: ExperimentSummary | None, error: str | None) -> dict:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -14,6 +15,53 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return [dict(zip(header, row)) for row in body]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run pool tasks in this process; the list of pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record the config behind every ``ExperimentConfig.build_graph`` call."""
+    built = []
+    build_graph = ExperimentConfig.build_graph
+
+    def counting(cfg):
+        built.append(cfg)
+        return build_graph(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "build_graph", counting)
+    return built
+
+
+def separate_runs(grid):
+    """``(config, summary, error)`` of one ``run_experiment`` call per config."""
+    results = []
+    for cfg in grid:
+        try:
+            results.append((cfg, run_experiment(cfg), None))
+        except ValueError as exc:
+            results.append((cfg, None, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 class TestRunExperiment:
@@ -136,29 +184,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="max_workers must be at least 1"):
             sweep_results(self.small_grid(), max_workers=workers)
 
-    def test_pool_never_larger_than_grid(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    def test_pool_never_larger_than_grid(self, serial_pool):
         grid = self.small_grid()
         assert (render_csv(sweep_results(grid, max_workers=5000))
                 == render_csv(sweep_results(grid)))
         assert (render_csv(sweep_results(grid[:1], max_workers=5000))
                 == render_csv(sweep_results(grid[:1])))
-        assert sizes == [2]
+        # three configs, one graph: one task, so no pool at all
+        shared = dataclasses.replace(grid[1], graph_seed=grid[1].master_seed)
+        same_graph = [shared, dataclasses.replace(shared, c=8.0, t=6, master_seed=5),
+                      dataclasses.replace(shared, t=4, master_seed=6)]
+        assert (render_csv(sweep_results(same_graph, max_workers=5000))
+                == render_csv([(cfg, run_experiment(cfg), None) for cfg in same_graph]))
+        assert serial_pool == [2]
 
     @pytest.mark.parametrize("bad, n", [
         (ExperimentConfig(family="two-cliques", c=4.0, t=10, trials=5, master_seed=3, n=80), 80),
@@ -171,6 +209,72 @@ class TestSweep:
         assert json_row.get("n") == n
         assert {k: str(v) for k, v in json_row.items() if v != ""} == {
             k: v for k, v in csv_row.items() if v != ""}
+
+
+class TestSharedGraph:
+    """Configs that name one graph share its build within a sweep."""
+
+    # the error a run per config reports for an rtf build with n=0
+    EMPTY_BUILD_ERROR = "ValueError: vertex count 0 outside [1, 1048576]"
+
+    @staticmethod
+    def rtf_400(c, t, master_seed):
+        return ExperimentConfig(family="rtf", c=c, t=t, trials=5,
+                                master_seed=master_seed, n=400, graph_seed=7)
+
+    def interleaved_grid(self):
+        """(A, B, A, A): three configs of one rtf graph around one of another."""
+        other = ExperimentConfig(family="rtf", c=8.0, t=10, trials=5,
+                                 master_seed=9, n=80)
+        return [self.rtf_400(8.0, 50, 1), other,
+                self.rtf_400(6.0, 66, 2), self.rtf_400(12.0, 33, 3)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_build_per_distinct_graph(self, workers, builds, serial_pool):
+        grid = self.interleaved_grid()
+        results = sweep_results(grid, max_workers=workers)
+        assert [cfg for cfg, _, _ in results] == grid
+        assert builds == grid[:2]
+        assert serial_pool == ([2] if workers > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bytes_match_separate_runs(self, workers):
+        grid = self.interleaved_grid()
+        results = sweep_results(grid, max_workers=workers)
+        assert [cfg for cfg, _, _ in results] == grid
+        expected = separate_runs(grid)
+        assert render_csv(results) == render_csv(expected)
+        assert render_json(results) == render_json(expected)
+
+    def test_invalid_member_gets_own_error_row(self, builds):
+        a, b, a6, a12 = self.interleaved_grid()
+        bad = dataclasses.replace(a6, c=4.0)
+        grid = [bad, a, b, bad, a12]
+        results = sweep_results(grid)
+        assert [error for _, _, error in results] == [
+            "ValueError: c must exceed 4 (got 4.0)", None, None,
+            "ValueError: c must exceed 4 (got 4.0)", None]
+        # the first member that passes validation builds the graph
+        assert builds == [a, b]
+        assert render_csv(results) == render_csv(separate_runs(grid))
+
+    def test_failed_build_is_every_members_error(self, builds):
+        empty = ExperimentConfig(family="rtf", c=8.0, t=5, trials=2, master_seed=15, n=0)
+        same_graph = ExperimentConfig(family="rtf", c=12.0, t=5, trials=2,
+                                      master_seed=17, n=0, graph_seed=15)
+        other = self.interleaved_grid()[1]
+        grid = [empty, other, same_graph]
+        results = sweep_results(grid)
+        assert [error for _, _, error in results] == [
+            self.EMPTY_BUILD_ERROR, None, self.EMPTY_BUILD_ERROR]
+        assert builds == [empty, other]
+        assert render_json(results) == render_json(separate_runs(grid))
+
+    def test_no_sharing_across_calls(self, builds):
+        grid = self.interleaved_grid()
+        sweep_results(grid)
+        sweep_results(grid)
+        assert builds == grid[:2] * 2
 
 
 class TestConfigParsing:
