@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SamplingFailure
-from .graphs import Graph, Matching, is_alpha_at_most_2
+from .graphs import Graph, Matching, _as_int, is_alpha_at_most_2
 from .oracles import nonadjacent_pairs
 from .sampling import DEFAULT_MAX_ATTEMPTS, sample_edge_heavy_partition
 
@@ -119,12 +119,12 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
 
 
 def check_run_args(c: float, t: int, trials: int) -> None:
-    """Raise ValueError unless ``c > 4``, ``t >= 1`` and ``trials >= 1``."""
+    """Raise ValueError unless ``c > 4`` and ``t`` and ``trials`` are integers ``>= 1``."""
     if not c > 4:
         raise ValueError(f"c must exceed 4 (got {c})")
-    if t < 1:
+    if _as_int("t", t) < 1:
         raise ValueError("t must be at least 1")
-    if trials < 1:
+    if _as_int("trials", trials) < 1:
         raise ValueError("trials must be at least 1")
 
 
@@ -146,19 +146,23 @@ def _uniform_subset(size: int, k: int, rng: np.random.Generator) -> list[int]:
     return pool[:k]
 
 
-def extract_once(g: Graph, params: ExtractionParams, rng: np.random.Generator,
-                 seed: int = 0, max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, TrialReport]:
+def extract_once(g: Graph, params: ExtractionParams, seed: int,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, TrialReport]:
     """Run one extraction trial on ``g`` with prepared parameters.
 
     ``g`` must have even order equal to ``round(ratio * t)`` and independence
     number at most 2; :func:`extract_best` checks the latter once instead of
-    per trial.  ``seed`` only labels the report.  The accepted partition's
-    edges form a matching, so any ``t`` of them do as well; each edge is
-    selected with probability ``t / intersection_size <= pick_cap``.
+    per trial.  The trial draws from ``numpy.random.default_rng(seed)`` and
+    its report carries ``seed``, so ``extract_once(g, params, report.seed)``
+    replays it.  The accepted partition's edges form a matching, so any
+    ``t`` of them do as well; each edge is selected with probability
+    ``t / intersection_size <= pick_cap``.
     """
     t = params.t
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
+    # default_rng passes a Generator through, and its report could not replay it
+    rng = np.random.default_rng(_as_int("seed", seed))
     edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
     matching = Matching(edges[_uniform_subset(len(edges), t, rng)].tolist())
     count = nonadjacent_pairs(g, matching)
@@ -171,8 +175,10 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, list[TrialReport]]:
     """Best of ``trials`` independent extraction trials.
 
-    Per-trial generators are seeded from ``(master_seed, index)``, so trials
-    are order-independent and could run concurrently; the winner minimises
+    Trial ``index`` runs :func:`extract_once` with the seed
+    ``trial_seed(master_seed, index)``, so trials are order-independent and
+    could run concurrently, and each report replays on the prepared graph
+    of :func:`prepare_extraction`; the winner minimises
     ``(nonadjacent pairs, trial index)``, a reduction that does not depend on
     evaluation order.  The returned matching uses the vertex ids of
     ``g_raw`` even when the parity fix deleted vertex 0.  Raises an
@@ -188,10 +194,8 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     best: tuple[Matching, TrialReport] | None = None
     reports: list[TrialReport] = []
     for index in range(trials):
-        seed = trial_seed(master_seed, index)
-        rng = np.random.default_rng(seed)
         try:
-            matching, report = extract_once(g, params, rng, seed=seed, max_attempts=max_attempts)
+            matching, report = extract_once(g, params, trial_seed(master_seed, index), max_attempts)
         except SamplingFailure:
             continue
         reports.append(report)

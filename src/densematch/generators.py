@@ -4,11 +4,9 @@ Every generator is a pure function of its arguments: calling it twice with
 the same inputs yields bitwise-identical adjacency rows.
 """
 
-import operator
-
 import numpy as np
 
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, MAX_VERTICES, _as_int
 
 # the random triangle-free process visits its first 32*n pairs unfiltered;
 # each later segment, 4x longer than the one before, is filtered against a
@@ -17,14 +15,16 @@ _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int) -> int:
+    n = _as_int("n", n)
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+    return n
 
 
 def complete_graph(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
-    _check_n(n)
+    n = _check_n(n)
     full = (1 << n) - 1
     return Graph(tuple(full ^ (1 << v) for v in range(n)))
 
@@ -36,6 +36,7 @@ def two_cliques(s: int) -> Graph:
     largest connected matching is markedly smaller than a perfect matching
     because cross pairs of edges have no edge between them.
     """
+    s = _as_int("s", s)
     _check_n(2 * s)
     mask_a = (1 << s) - 1
     mask_b = mask_a << s
@@ -53,12 +54,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
     at most 2; part sizes are caller-chosen so experiments can sweep density
     deterministically.
     """
-    sizes = []
-    for s in part_sizes:
-        try:
-            sizes.append(operator.index(s))
-        except TypeError:
-            raise ValueError(f"part size {s!r} is not an integer") from None
+    sizes = [_as_int("part size", s) for s in part_sizes]
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
@@ -91,7 +87,10 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     so such a pair would still be rejected at its turn, and a rejected pair
     changes nothing.
     """
-    _check_n(n)
+    n = _check_n(n)
+    seed = _as_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative (got {seed})")
     rng = np.random.default_rng(seed)
     rows = [0] * n
     neighbours = [[] for _ in range(n)]

@@ -7,7 +7,8 @@ use, for vectorised lookups.  All operations treat graphs as read-only
 values, so instances are safe to share between threads.
 """
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -24,6 +25,14 @@ def iter_bits(x: int):
         x ^= low
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; a ValueError names ``name`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def _bit_in_byte(v: np.ndarray) -> np.ndarray:
     """Mask selecting vertex ``v`` inside its byte of a packed row."""
     return np.uint8(1) << (v & 7).astype(np.uint8)
@@ -33,22 +42,29 @@ def _bit_in_byte(v: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph given by its symmetric, loop-free bit rows.
 
-    ``n`` and ``m`` are derived from the rows, so they cannot disagree.  The
-    rows are checked for bits outside ``0..n-1``, loop bits and an odd popcount sum.
-    Symmetry itself is not checked, only its parity: ``Graph((0b10, 0b100, 0))``
-    builds, with ``m == 1`` and ``has_edge(0, 1) != has_edge(1, 0)``.
+    Each row is stored as a Python int (numpy integers are converted; a
+    non-integer row is a ValueError naming it).  ``n`` and ``m`` are derived
+    from the rows, so they cannot disagree.  The rows are checked for bits
+    outside ``0..n-1``, loop bits and an odd popcount sum.  Symmetry itself
+    is not checked, only its parity: ``Graph((0b10, 0b100, 0))`` builds,
+    with ``m == 1`` and ``has_edge(0, 1) != has_edge(1, 0)``.
     """
 
     rows: tuple[int, ...]
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a list of rows would leave the graph unhashable and unequal to the tuple build
-        object.__setattr__(self, "rows", tuple(self.rows))
-        n = len(self.rows)
+        rows = tuple(self.rows)
+        if any(type(row) is not int for row in rows):
+            # numpy integers have no int.to_bytes, which the packed rows need
+            rows = tuple(_as_int(f"row {v} value", row) for v, row in enumerate(rows))
+        object.__setattr__(self, "rows", rows)
+        n = len(rows)
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
         total = 0
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row >> n:
                 raise ValueError(f"row {v} has bits outside vertices 0..{n - 1}")
             if (row >> v) & 1:
@@ -56,14 +72,11 @@ class Graph:
             total += row.bit_count()
         if total % 2:
             raise ValueError("rows are not symmetric (odd total popcount)")
+        object.__setattr__(self, "m", total // 2)
 
     @cached_property
     def n(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def m(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
@@ -106,13 +119,8 @@ class Graph:
         # complement is triangle-free: no complement edge has a common
         # complement-neighbour, checked by row intersections
         co = complement(self)
-        for u in range(co.n):
-            row_u = co.rows[u]
-            high = row_u >> (u + 1)
-            for off in iter_bits(high):
-                if row_u & co.rows[u + 1 + off]:
-                    return False
-        return True
+        rows = co.rows
+        return not any(rows[u] & rows[v] for u, v in co.edges())
 
 
 @dataclass(frozen=True)

@@ -178,47 +178,42 @@ def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
 def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
     """Exhaustive minimum of ``nonadjacent_pairs`` over all size-``t`` matchings.
 
-    Depth-first over index-increasing edge choices; a branch dies as soon as
-    its partial score reaches the incumbent, since adding edges never lowers
-    the count.
+    Depth-first over index-increasing choices from the sorted edge list,
+    keeping the picked edges as one bitmask over it; an edge adds the picked
+    edges outside its :func:`_compatibility_rows` row to the score.  A
+    branch dies as soon as its partial score reaches the incumbent, since
+    adding edges never lowers the count, so on ties the first optimum in
+    that order is returned.
     """
     if g.n > limit:
         raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
     if t < 1:
         raise ValueError("t must be at least 1")
     edges = list(g.edges())
-    unions = [g.rows[u] | g.rows[v] for u, v in edges]
+    compat = _compatibility_rows(g, edges)
     ends = [(1 << u) | (1 << v) for u, v in edges]
     best_count: int | None = None
-    best_edges: list | None = None
-    chosen: list[int] = []
+    best_picked = 0
 
-    def dfs(start: int, used: int, cost: int):
-        nonlocal best_count, best_edges
-        if len(chosen) == t:
-            best_count = cost
-            best_edges = [edges[i] for i in chosen]
+    def dfs(start: int, size: int, used: int, picked: int, cost: int):
+        nonlocal best_count, best_picked
+        if size == t:
+            best_count, best_picked = cost, picked
             return
-        need = t - len(chosen)
-        for i in range(start, len(edges) - need + 1):
+        for i in range(start, len(edges) - (t - size) + 1):
             if ends[i] & used:
                 continue
-            added = cost
-            for j in chosen:
-                if not (unions[j] & ends[i]):
-                    added += 1
+            added = cost + size - (compat[i] & picked).bit_count()
             if best_count is not None and added >= best_count:
                 continue
-            chosen.append(i)
-            dfs(i + 1, used | ends[i], added)
-            chosen.pop()
+            dfs(i + 1, size + 1, used | ends[i], picked | 1 << i, added)
             if best_count == 0:
                 return
 
-    dfs(0, 0, 0)
-    if best_edges is None:
+    dfs(0, 0, 0, 0, 0)
+    if best_count is None:
         raise InfeasibleError(f"graph has no matching of size {t}")
-    return Matching(best_edges), best_count
+    return Matching(edges[i] for i in iter_bits(best_picked)), best_count
 
 
 def _max_bipartite_matching(g: Graph, left, right) -> dict[int, int]:

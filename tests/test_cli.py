@@ -39,6 +39,11 @@ class TestGen:
         _, out2, _ = run_cli(capsys, "gen", "--family", "rtf", "--n", "20", "--seed", "3")
         assert out1 == out2
 
+    def test_rtf_negative_seed(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "--family", "rtf", "--n", "10", "--seed", "-1")
+        assert code == 2
+        assert "seed must be nonnegative (got -1)" in err
+
     def test_c5_parts(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--family", "c5", "--parts", "1,1,1,1,2")
         assert code == 0

@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from densematch import (c5_blowup_complement,
+from densematch import (Matching, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         count_bad_quadruples, derive_params, extract_best,
                         extract_once, is_alpha_at_most_2, nonadjacent_pairs,
@@ -94,7 +94,7 @@ class TestExtractOnce:
     def test_clique_has_no_nonadjacent_pairs(self):
         g = complete_graph(32)
         params = derive_params(8.0, 4, optimal_slack(8, 4))
-        matching, report = extract_once(g, params, np.random.default_rng(0), seed=5)
+        matching, report = extract_once(g, params, 5)
         assert report.nonadjacent_pairs == 0
         assert report.within_bound
         assert report.seed == 5
@@ -105,10 +105,9 @@ class TestExtractOnce:
     def test_two_cliques_counts_cross_products(self):
         g = two_cliques(16)
         params = derive_params(8.0, 4, optimal_slack(8, 4))
-        rng = np.random.default_rng(1)
         counts = []
-        for _ in range(400):
-            matching, report = extract_once(g, params, rng)
+        for seed in range(400):
+            matching, report = extract_once(g, params, seed)
             left = sum(1 for u, v in matching.edges if u < 16 and v < 16)
             right = matching.size - left
             assert report.nonadjacent_pairs == left * right
@@ -127,36 +126,39 @@ class TestExtractOnce:
     def test_trivial_single_edge(self):
         g = complement_of_random_triangle_free(12, 4)
         _, params = prepare_extraction(g, 1)
-        _, report = extract_once(g, params, np.random.default_rng(2))
+        _, report = extract_once(g, params, 2)
         assert report.nonadjacent_pairs == 0
 
     def test_matching_invariants(self):
         g = complement_of_random_triangle_free(48, 9)
         _, params = prepare_extraction(g, 6)
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            matching, _ = extract_once(g, params, rng)
+        for seed in range(40):
+            matching, _ = extract_once(g, params, seed)
             assert matching.size == 6
             validate_matching(g, matching)
 
     def test_order_mismatch_rejected(self):
         params = derive_params(8.0, 4, optimal_slack(8, 4))
         with pytest.raises(ValueError, match="does not match"):
-            extract_once(complete_graph(30), params, np.random.default_rng(0))
+            extract_once(complete_graph(30), params, 0)
 
     def test_odd_order_rejected_by_the_sampler(self):
         params = derive_params(8.25, 4, optimal_slack(8.25, 4))
         assert round(params.ratio * params.t) == 33
         with pytest.raises(ValueError, match="graph order must be even"):
-            extract_once(complete_graph(33), params, np.random.default_rng(0))
+            extract_once(complete_graph(33), params, 0)
+
+    def test_generator_in_place_of_seed_rejected(self):
+        params = derive_params(8.0, 4, optimal_slack(8, 4))
+        with pytest.raises(ValueError, match="seed Generator.* is not an integer"):
+            extract_once(complete_graph(32), params, np.random.default_rng(0))
 
     def test_sampling_failure_propagates(self):
         params = ExtractionParams(ratio=8.0, t=4, slack=1.0, margin=2.5,
                                   accept_floor=0.5, pick_cap=0.4,
                                   threshold=17, pair_bound=1.0)  # demands > n/2 edges
         with pytest.raises(SamplingFailure):
-            extract_once(two_cliques(16), params, np.random.default_rng(0),
-                         max_attempts=25)
+            extract_once(two_cliques(16), params, 0, max_attempts=25)
 
 
 class TestPrepareExtraction:
@@ -234,6 +236,26 @@ class TestExtractBest:
         assert min(counts) == nonadjacent_pairs(g, matching)
         assert sum(1 for x in counts if x <= 2 * bound) >= 0.4 * len(counts)
 
+    @pytest.mark.parametrize("t, trials, message", [
+        pytest.param(4.0, 1, "t 4.0 is not an integer", id="t"),
+        pytest.param(4, 1.5, "trials 1.5 is not an integer", id="trials"),
+    ])
+    def test_non_integer_t_or_trials_named(self, t, trials, message):
+        # the edgeless graph fails the alpha check, so the arguments are checked first
+        with pytest.raises(ValueError, match=message):
+            extract_best(from_edge_list(40, []), 8.0, t, trials, master_seed=0)
+
+    @pytest.mark.parametrize("n, graph_seed", [(81, 3), (80, 1)])
+    def test_reports_replay_from_their_seed(self, n, graph_seed):
+        g = complement_of_random_triangle_free(n, graph_seed)
+        matching, reports = extract_best(g, 8.0, 10, 6, master_seed=7)
+        h, params = prepare_extraction(g, 10)
+        replays = [extract_once(h, params, r.seed) for r in reports]
+        assert [report for _, report in replays] == reports
+        best = min(range(len(reports)), key=lambda i: reports[i].nonadjacent_pairs)
+        shift = g.n % 2
+        assert matching == Matching((u + shift, v + shift) for u, v in replays[best][0].edges)
+
     def test_every_trial_failing_raises_one_aggregate(self):
         # two K400 hold about 200 partition edges on average, far below the 285 demanded
         with pytest.raises(SamplingFailure, match="all 3 trials exhausted 2 attempts each") as info:
@@ -247,8 +269,7 @@ class TestExtractBest:
         for index in range(8):
             seed = trial_seed(21, index)
             try:
-                trials.append(extract_once(g, params, np.random.default_rng(seed),
-                                           seed=seed, max_attempts=1))
+                trials.append(extract_once(g, params, seed, max_attempts=1))
             except SamplingFailure:
                 trials.append(None)
         survivors = [i for i, trial in enumerate(trials) if trial is not None]

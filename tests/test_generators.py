@@ -129,6 +129,31 @@ class TestC5BlowupComplement:
             (1, 2, 1, 3, 2))
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: complete_graph(3.0), "n 3.0 is not an integer", id="complete-n"),
+        pytest.param(lambda: two_cliques(2.5), "s 2.5 is not an integer", id="two-cliques-s"),
+        pytest.param(lambda: complement_of_random_triangle_free(10.0, 1),
+                     "n 10.0 is not an integer", id="rtf-n"),
+        pytest.param(lambda: complement_of_random_triangle_free(10, 1.5),
+                     "seed 1.5 is not an integer", id="rtf-seed"),
+        pytest.param(lambda: complement_of_random_triangle_free(10, None),
+                     "seed None is not an integer", id="rtf-seed-none"),
+        pytest.param(lambda: complement_of_random_triangle_free(10, -1),
+                     r"seed must be nonnegative \(got -1\)", id="rtf-seed-negative"),
+    ])
+    def test_bad_argument_is_named(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        # past 63 vertices a numpy n would overflow the row shifts
+        assert complete_graph(np.int64(70)) == complete_graph(70)
+        assert two_cliques(np.int32(40)) == two_cliques(40)
+        assert (complement_of_random_triangle_free(np.int64(70), np.uint8(3))
+                == complement_of_random_triangle_free(70, 3))
+
+
 class TestFamilyInvariants:
     def test_every_generator_output_has_alpha_at_most_2(self):
         rng = np.random.default_rng(99)

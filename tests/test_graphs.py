@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from densematch import (Graph, Matching, build_family,
                         complement_of_random_triangle_free, is_alpha_at_most_2,
-                        read_edge_list, two_cliques, write_edge_list)
+                        nonadjacent_pairs, read_edge_list, two_cliques, write_edge_list)
 from densematch.extractor import prepare_extraction
 from densematch.graphs import (MAX_VERTICES, complement, format_edge_list,
                                from_edge_list, min_degree, parse_edge_list)
@@ -87,6 +87,17 @@ class TestGraphFromRows:
     def test_top_vertex_accepted(self):
         g = Graph(tuple([1 << 8] + [0] * 7 + [1]))
         assert list(g.edges()) == [(0, 8)]
+
+    def test_numpy_rows_are_stored_as_ints(self):
+        g = Graph((np.int64(2), np.int64(1)))
+        assert g == Graph((2, 1))
+        assert [type(row) for row in g.rows] == [int, int]
+        assert g.packed.tolist() == [[2], [1]]
+        assert nonadjacent_pairs(g, Matching([(0, 1)])) == 0
+
+    def test_non_integer_row_is_named(self):
+        with pytest.raises(ValueError, match="row 1 value 1.0 is not an integer"):
+            Graph((2, 1.0))
 
     def test_list_of_rows_builds_the_tuple_graph(self):
         rows = (0b10, 0b01)

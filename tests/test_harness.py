@@ -148,6 +148,12 @@ class TestSweep:
         assert rows[1]["best"] == ""
         assert rows[2]["error"] == ""
 
+    def test_negative_graph_seed_is_named(self):
+        bad = ExperimentConfig(family="rtf", c=8.0, t=4, trials=1, master_seed=0, n=40,
+                               graph_seed=-5)
+        rows = parse_csv(render_csv(sweep_results([self.small_grid()[0], bad])))
+        assert rows[1]["error"] == "ValueError: seed must be nonnegative (got -5)"
+
     def test_reproducible_bytes(self):
         grid = self.small_grid()
         assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from densematch import (Matching, clique_bound_audit, clique_number,
+from densematch import (Matching, c5_blowup_complement, clique_bound_audit, clique_number,
                         complete_graph, connected_matching_number,
                         count_bad_quadruples, matching_from_clique,
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
@@ -194,6 +196,21 @@ class TestMinNonadjacentMatching:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             min_nonadjacent_matching(from_edge_list(4, []), 1)
+
+    def test_golden_output(self):
+        # pins which optimal matching is returned on ties, not only its count
+        graphs = [random_alpha2_graph(i, 6, 12) for i in range(60)]
+        graphs += [two_cliques(5), complete_graph(10), c5_blowup_complement([2, 2, 2, 2, 4])]
+        digest = hashlib.sha256()
+        for g in graphs:
+            for t in range(1, g.n // 2 + 1):
+                try:
+                    out = min_nonadjacent_matching(g, t)
+                except InfeasibleError:
+                    out = None
+                digest.update(repr(out).encode())
+        assert digest.hexdigest() == (
+            "7372c144806c4606df4fb64bcfeb8cac72e2b8569eb29b90eba314228b8ba98c")
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
