@@ -128,10 +128,20 @@ def check_run_args(c: float, t: int, trials: int) -> None:
         raise ValueError("trials must be at least 1")
 
 
+def _check_master_seed(master_seed: int) -> None:
+    """Raise ValueError naming ``master_seed`` unless it is an integer ``>= 0``.
+
+    A float or bool is refused, not truncated: ``True`` would run seed 1.
+    """
+    if type(master_seed) is bool or _as_int("master_seed", master_seed) < 0:
+        raise ValueError(f"master_seed must be a nonnegative integer (got {master_seed!r})")
+
+
 def trial_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit seed for trial ``index`` under ``master_seed``."""
-    if master_seed < 0 or index < 0:
-        raise ValueError("seeds and trial indices must be nonnegative")
+    _check_master_seed(master_seed)
+    if index < 0:
+        raise ValueError("trial indices must be nonnegative")
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -186,6 +196,7 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     attempts.
     """
     check_run_args(c, t, trials)
+    _check_master_seed(master_seed)
     if g_raw.n + 1e-9 < c * t:
         raise ValueError(f"graph order {g_raw.n} is below c*t = {c * t:.6g}")
     if not is_alpha_at_most_2(g_raw):

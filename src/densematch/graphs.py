@@ -106,14 +106,6 @@ class Graph:
         """Elementwise ``has_edge`` over two equal-shape integer index arrays."""
         return self.packed[u, v >> 3] & _bit_in_byte(v) != 0
 
-    def adjacency_among(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean adjacency matrix among ``vertices``, in the given order.
-
-        Gathers the rows first, then the columns, so the cost scales with
-        ``len(vertices)`` rather than with ``n``.
-        """
-        return self.packed[vertices][:, vertices >> 3] & _bit_in_byte(vertices) != 0
-
     @cached_property
     def _alpha_at_most_2(self) -> bool:
         # complement is triangle-free: no complement edge has a common

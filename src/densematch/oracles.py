@@ -13,41 +13,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, SizeLimitError
-from .graphs import Graph, Matching, complement, is_alpha_at_most_2, iter_bits, min_degree
+from .graphs import (Graph, Matching, _as_int, _bit_in_byte, complement, is_alpha_at_most_2,
+                     iter_bits, min_degree)
 
 CM_LIMIT = 24
 OMEGA_LIMIT = 40
 MINMATCH_LIMIT = 14
 
 
-def validate_matching(g: Graph, m: Matching) -> None:
-    """Raise ValueError unless ``m`` is a matching of ``g``."""
-    seen = 0
-    for u, v in m.edges:
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+def validate_matching(g: Graph, m: Matching) -> np.ndarray:
+    """Raise ValueError unless ``m`` is a matching of ``g``; else return its ends
+    ``u0, v0, u1, v1, ...`` as one ``intp`` array, checked without the packed view."""
+    rows, n = g.rows, g.n
+    seen = bytearray(n)
+    for u, v in m.edges:  # stored smaller end first
+        if not 0 <= u < v < n:
             raise ValueError(f"invalid edge ({u}, {v})")
-        if not g.has_edge(u, v):
+        if not rows[u] >> v & 1:
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        bits = (1 << u) | (1 << v)
-        if seen & bits:
+        if seen[u] or seen[v]:
             raise ValueError(f"edge ({u}, {v}) reuses a matched vertex")
-        seen |= bits
+        seen[u] = seen[v] = 1
+    return np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
 
 
 def nonadjacent_pairs(g: Graph, m: Matching) -> int:
     """Number of matching-edge pairs with no edge between their endpoint sets.
 
-    Looks up the ``2t x 2t`` adjacency among the matched vertices in the
-    packed rows and ORs each edge pair's ``2 x 2`` block into a ``t x t``
-    matrix.  That matrix is symmetric with an all-true diagonal (each edge
-    links to itself), so its false entries count every pair twice.
+    ORs the packed rows of each edge's ends into its neighbourhood row and reads the
+    ``t x t`` matrix of edge-to-edge links from those rows at every edge's ends.  It is
+    symmetric with an all-true diagonal, so its false entries count every pair twice.
     """
-    validate_matching(g, m)
-    ends = np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
-    adj = g.adjacency_among(ends)
-    to_vertex = adj[0::2] | adj[1::2]
-    linked = to_vertex[:, 0::2] | to_vertex[:, 1::2]
-    return int(np.count_nonzero(~linked)) // 2
+    ends = validate_matching(g, m)
+    a, b = ends[0::2], ends[1::2]
+    union = g.packed[a] | g.packed[b]
+    linked = (union[:, a >> 3] & _bit_in_byte(a)) | (union[:, b >> 3] & _bit_in_byte(b))
+    return int(np.count_nonzero(linked == 0)) // 2
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,7 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
     """
     if g.n > limit:
         raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
+    t = _as_int("t", t)
     if t < 1:
         raise ValueError("t must be at least 1")
     edges = list(g.edges())

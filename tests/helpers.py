@@ -192,6 +192,20 @@ def count_nonadjacent_pairs_naive(g: Graph, edges) -> int:
     return total
 
 
+def validate_matching_reference(g: Graph, edges) -> None:
+    """Edge-by-edge matching check whose ValueError names the first bad edge."""
+    seen = 0
+    for u, v in edges:
+        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+            raise ValueError(f"invalid edge ({u}, {v})")
+        if not g.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+        bits = (1 << u) | (1 << v)
+        if seen & bits:
+            raise ValueError(f"edge ({u}, {v}) reuses a matched vertex")
+        seen |= bits
+
+
 def count_bad_quadruples_naive(g: Graph) -> int:
     """O(n^4) enumeration of ordered bad quadruples."""
     total = 0

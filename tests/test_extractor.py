@@ -318,3 +318,15 @@ class TestTrialSeed:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             trial_seed(-1, 0)
+
+    def test_numpy_master_seed_accepted(self):
+        assert trial_seed(np.int64(5), 3) == trial_seed(5, 3)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, -1, None])
+    def test_bad_master_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            trial_seed(seed, 0)
+        g = complete_graph(40)
+        with pytest.raises(ValueError, match="master_seed"):
+            extract_best(g, 8.0, 4, 2, seed)
+        assert "_alpha_at_most_2" not in vars(g)  # refused before the alpha scan

@@ -127,8 +127,6 @@ class TestPackedView:
             assert np.array_equal(bits.astype(bool), expect)
             u, v = np.divmod(np.arange(g.n * g.n), max(g.n, 1))
             assert np.array_equal(g.has_edges(u, v), expect.ravel())
-            order = np.random.default_rng(g.n).permutation(g.n)
-            assert np.array_equal(g.adjacency_among(order), expect[np.ix_(order, order)])
 
     def test_read_only(self):
         g = two_cliques(5)

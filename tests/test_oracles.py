@@ -13,7 +13,16 @@ from densematch.oracles import validate_matching
 from helpers import (all_matchings, brute_clique_number,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      greedy_clique, random_alpha2_graph, random_graph,
-                     random_matching_of)
+                     random_matching_of, validate_matching_reference)
+
+
+def _error(check, g, m):
+    """The message of the ValueError ``check(g, m)`` raises, or None."""
+    try:
+        check(g, m)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 class TestNonadjacentPairs:
@@ -54,20 +63,69 @@ class TestNonadjacentPairs:
                 nonadjacent_pairs(g, Matching(pairs))
             assert "packed" not in vars(g)
 
+    def test_invalid_matching_messages_match_reference(self):
+        # Matching sorts its edges, and the first bad edge in that order is named
+        cases = [
+            [(-1, 2)], [(0, 1), (2, 9)], [(0, 1), (2, 3), (4, 5), (6, 8)], [(4, 2**70)],
+            [(0, 1), (5, 5)], [(0, 1), (2, 5)], [(0, 1), (1, 2)],
+            [(0, 2), (1, 5), (2, 3)],  # a non-edge, then a reused vertex
+            [(0, 1), (1, 5)],  # a non-edge that also reuses vertex 1
+            [(0, 1), (2, 3), (3, 3)],  # a loop that also reuses vertex 3
+        ]
+        cases = [(two_cliques(4), pairs) for pairs in cases]
+        rng = np.random.default_rng(77)
+        while len(cases) < 70:
+            g = random_graph(int(rng.integers(4, 20)), 0.5, rng)
+            pairs = list(random_matching_of(g, rng).edges)
+            pairs.insert(int(rng.integers(len(pairs) + 1)),
+                         tuple(rng.integers(-3, g.n + 3, 2).tolist()))
+            if _error(validate_matching_reference, g, Matching(pairs).edges):
+                cases.append((g, pairs))
+        seen = set()
+        for g, pairs in cases:
+            m = Matching(pairs)
+            expected = _error(validate_matching_reference, g, m.edges)
+            assert expected is not None
+            assert _error(validate_matching, g, m) == expected
+            assert _error(nonadjacent_pairs, g, m) == expected
+            assert "packed" not in vars(g)
+            seen.update(kind for kind in ("invalid edge", "not an edge", "reuses")
+                        if kind in expected)
+        assert seen == {"invalid edge", "not an edge", "reuses"}
+
     def test_packed_and_scan_agree_across_byte_boundaries(self):
-        n = 34
-        # (7, 8), (15, 16), ... first: every byte boundary of the packed rows
-        # falls inside a matched edge, then the rest of a perfect matching
-        starts = [7, 15, 23, 31] + [s for s in range(1, n, 2) if s not in (7, 15, 23, 31)]
-        perfect = [(s, (s + 1) % n) for s in starts]
-        rng = np.random.default_rng(34)
+        for n in (34, 63, 64, 65):
+            # (7, 8), (15, 16), ... first: every byte boundary of the packed rows
+            # falls inside a matched edge, then the rest of a matching that
+            # leaves at most vertex 0 out
+            boundary = list(range(7, n - 1, 8))
+            starts = boundary + [s for s in range(1, n, 2) if s not in boundary]
+            perfect = [(s, (s + 1) % n) for s in starts]
+            rng = np.random.default_rng(n)
+            for p in (0.05, 0.3, 0.7):
+                base = random_graph(n, p, rng)
+                g = from_edge_list(n, list(base.edges()) + perfect)
+                for t in (0, 1, 2, n // 2):
+                    m = Matching(perfect[:t])
+                    fast = nonadjacent_pairs(g, m)
+                    assert fast == count_nonadjacent_pairs_naive(g, m.edges), (n, p, t)
+
+    def test_golden_counts(self):
+        # pinned before scoring moved from a gathered 2t x 2t block to union
+        # rows; a planted random pairing gives every size up to n // 2
+        rng = np.random.default_rng(2025)
+        digest = hashlib.sha256()
         for p in (0.05, 0.3, 0.7):
-            base = random_graph(n, p, rng)
-            g = from_edge_list(n, list(base.edges()) + perfect)
-            for t in (0, 1, 2, n // 2):
-                m = Matching(perfect[:t])
-                fast = nonadjacent_pairs(g, m)
-                assert fast == count_nonadjacent_pairs_naive(g, m.edges), (p, t)
+            for n in (63, 64, 65, 257):
+                order = rng.permutation(n).tolist()
+                pairing = list(zip(order[0::2], order[1::2]))
+                g = from_edge_list(n, list(random_graph(n, p, rng).edges()) + pairing)
+                for t in range(n // 2 + 1):
+                    picked = rng.choice(len(pairing), t, replace=False).tolist()
+                    count = nonadjacent_pairs(g, Matching(pairing[i] for i in picked))
+                    digest.update(f"{p} {n} {t} {count}\n".encode())
+        assert digest.hexdigest() == (
+            "2153cef4f5496e685db9c72225c9523f875bcac8f602f1677ca5c2bcb09424cf")
 
     def test_bitset_and_scan_agree(self):
         rng = np.random.default_rng(42)
@@ -215,6 +273,10 @@ class TestMinNonadjacentMatching:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             min_nonadjacent_matching(complete_graph(15), 2)
+
+    def test_float_t_is_named(self):
+        with pytest.raises(ValueError, match="t 2.0 is not an integer"):
+            min_nonadjacent_matching(complete_graph(12), 2.0)
 
 
 class TestMatchingFromClique:
