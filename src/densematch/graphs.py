@@ -10,11 +10,13 @@ values, so instances are safe to share between threads.
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-MAX_VERTICES = 1 << 20
+# n rows of n bits each: 2**16 vertices hold 512 MiB of rows (2**20 would hold 128 GiB)
+MAX_VERTICES = 1 << 16
 
 
 def iter_bits(x: int):
@@ -115,18 +117,33 @@ class Graph:
         return not any(rows[u] & rows[v] for u, v in co.edges())
 
 
+def _int_ends(u, v) -> tuple[int, int]:
+    """Edge ``(u, v)`` with Python int ends; a ValueError names the edge otherwise."""
+    try:
+        if isinstance(u, (bool, np.bool_)) or isinstance(v, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer end") from None
+
+
 @dataclass(frozen=True)
 class Matching:
     """Pairwise vertex-disjoint edges, stored as sorted ``(u, v)`` pairs.
 
     ``Matching(pairs)`` takes any iterable of endpoint pairs and stores each
-    pair smaller end first, the pairs sorted, as a tuple.
+    pair smaller end first, the pairs sorted, as a tuple.  Ends must be
+    integers (numpy integers are converted); any other end, bools included,
+    is a ValueError naming its edge.
     """
 
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = sorted((u, v) if u < v else (v, u) for u, v in self.edges)
+        pairs = list(self.edges)
+        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+            pairs = [_int_ends(u, v) for u, v in pairs]
+        norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property

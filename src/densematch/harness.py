@@ -21,6 +21,7 @@ from .extractor import ExtractionParams, check_run_args, extract_best, prepare_e
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
 from .graphs import Graph
+from .sampling import DEFAULT_MAX_ATTEMPTS
 
 FAMILIES = ("two-cliques", "rtf", "c5", "complete")
 
@@ -124,7 +125,9 @@ def _summarise(cfg: ExperimentConfig, g: Graph, start: float) -> ExperimentSumma
     _, reports = extract_best(g, cfg.c, cfg.t, cfg.trials, cfg.master_seed)
     _, params = prepare_extraction(g, cfg.t)
     counts = [r.nonadjacent_pairs for r in reports]
-    attempts = sum(r.rejection_attempts for r in reports)
+    # each trial that raised SamplingFailure spent the whole default budget
+    attempts = (sum(r.rejection_attempts for r in reports)
+                + (cfg.trials - len(reports)) * DEFAULT_MAX_ATTEMPTS)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentSummary(
         config=cfg,

@@ -14,6 +14,7 @@ import numpy as np
 from densematch import (Graph, Matching, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         two_cliques)
+from densematch.errors import InfeasibleError
 from densematch.graphs import from_edge_list
 
 
@@ -176,6 +177,56 @@ def all_matchings(g: Graph, max_size: int | None = None):
             acc.pop()
 
     yield from rec(0, 0, [])
+
+
+def compatibility_rows_pairwise(g: Graph, edges) -> list[int]:
+    """Edge-compatibility bit rows by testing every pair of edges: bit ``j`` of
+    row ``i`` is set when the edges share no endpoint and a graph edge joins them."""
+    edges = list(edges)
+    compat = [0] * len(edges)
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if len({a, b, c, d}) < 4:
+                continue
+            if g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d):
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    return compat
+
+
+def min_nonadjacent_matching_plain(g: Graph, t: int) -> tuple[Matching, int]:
+    """Unpruned depth-first minimum of the non-adjacent pair count over size-``t`` matchings.
+
+    Index-increasing choices from the sorted edge list; a branch dies only
+    once its partial score reaches the incumbent, and a leaf is recorded only
+    when strictly below it, so on ties the first optimum in that order wins.
+    """
+    edges = list(g.edges())
+    compat = compatibility_rows_pairwise(g, edges)
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    best_count = None
+    best_picked = 0
+
+    def dfs(start, size, used, picked, cost):
+        nonlocal best_count, best_picked
+        if size == t:
+            best_count, best_picked = cost, picked
+            return
+        for i in range(start, len(edges) - (t - size) + 1):
+            if ends[i] & used:
+                continue
+            added = cost + size - (compat[i] & picked).bit_count()
+            if best_count is not None and added >= best_count:
+                continue
+            dfs(i + 1, size + 1, used | ends[i], picked | 1 << i, added)
+            if best_count == 0:
+                return
+
+    dfs(0, 0, 0, 0, 0)
+    if best_count is None:
+        raise InfeasibleError(f"graph has no matching of size {t}")
+    return Matching(edges[i] for i in range(len(edges)) if best_picked >> i & 1), best_count
 
 
 def count_nonadjacent_pairs_naive(g: Graph, edges) -> int:

@@ -231,6 +231,21 @@ class TestMatchingValue:
         assert m.edges == ((0, 1), (2, 3))
         assert m.size == 2
 
+    def test_float_end_names_the_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) has a non-integer end"):
+            Matching([(0, 1.0)])
+
+    def test_numpy_integer_end_is_stored_as_int(self):
+        m = Matching([(np.int64(3), 2), (0, np.int32(1))])
+        assert m.edges == ((0, 1), (2, 3))
+        assert {type(x) for edge in m.edges for x in edge} == {int}
+
+    def test_bool_end_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(True, 2\) has a non-integer end"):
+            Matching([(True, 2)])
+        with pytest.raises(ValueError, match="non-integer end"):
+            Matching([(0, np.bool_(True))])
+
 
 class TestEdgeListFormat:
     def test_roundtrip(self):

@@ -7,8 +7,10 @@ import pytest
 
 from densematch import (ExperimentConfig, derive_params, harness, optimal_slack,
                         run_experiment)
+from densematch.graphs import MAX_VERTICES
 from densematch.harness import (CSV_COLUMNS, configs_from_json, render_csv,
                                 render_json, summary_to_dict, sweep_results)
+from densematch.sampling import DEFAULT_MAX_ATTEMPTS
 
 
 def parse_csv(text):
@@ -81,6 +83,21 @@ class TestRunExperiment:
         s = run_experiment(cfg)
         assert s.best <= s.params.pair_bound
         assert s.mean <= 1.15 * s.params.pair_bound
+
+    def test_acceptance_counts_failed_trials(self, monkeypatch):
+        # a trial that raised SamplingFailure spent the whole default budget
+        extract_best = harness.extract_best
+
+        def two_trials_fail(*args):
+            matching, reports = extract_best(*args)
+            return matching, reports[2:]
+
+        monkeypatch.setattr(harness, "extract_best", two_trials_fail)
+        cfg = ExperimentConfig(family="complete", c=8.0, t=50, trials=10,
+                               master_seed=4, n=400)
+        s = run_experiment(cfg)
+        # each trial on a complete graph accepts its first partition
+        assert s.acceptance_rate == 8 / (8 + 2 * DEFAULT_MAX_ATTEMPTS)
 
     def test_two_cliques_small_feasible_case(self):
         cfg = ExperimentConfig(family="two-cliques", c=10.0, t=2, trials=30,
@@ -221,7 +238,7 @@ class TestSharedGraph:
     """Configs that name one graph share its build within a sweep."""
 
     # the error a run per config reports for an rtf build with n=0
-    EMPTY_BUILD_ERROR = "ValueError: vertex count 0 outside [1, 1048576]"
+    EMPTY_BUILD_ERROR = f"ValueError: vertex count 0 outside [1, {MAX_VERTICES}]"
 
     @staticmethod
     def rtf_400(c, t, master_seed):

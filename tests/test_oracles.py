@@ -9,11 +9,12 @@ from densematch import (Matching, c5_blowup_complement, clique_bound_audit, cliq
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
 from densematch.errors import InfeasibleError, SizeLimitError
 from densematch.graphs import complement, from_edge_list
-from densematch.oracles import validate_matching
-from helpers import (all_matchings, brute_clique_number,
+from densematch.oracles import _compatibility_rows, validate_matching
+from helpers import (all_matchings, brute_clique_number, compatibility_rows_pairwise,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
-                     greedy_clique, random_alpha2_graph, random_graph,
-                     random_matching_of, validate_matching_reference)
+                     greedy_clique, min_nonadjacent_matching_plain,
+                     random_alpha2_graph, random_graph, random_matching_of,
+                     validate_matching_reference)
 
 
 def _error(check, g, m):
@@ -221,6 +222,16 @@ class TestConnectedMatchingNumber:
         with pytest.raises(SizeLimitError):
             connected_matching_number(complete_graph(25))
 
+    def test_compatibility_rows_match_pairwise_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            g = random_graph(int(rng.integers(2, 15)), float(rng.uniform(0.1, 0.9)), rng)
+            by_index = list(g.edges())
+            # the degree-sum order connected_matching_number searches in
+            by_degree = sorted(by_index, key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+            for edges in (by_index, by_degree):
+                assert _compatibility_rows(g, edges) == compatibility_rows_pairwise(g, edges)
+
 
 class TestMinNonadjacentMatching:
     def test_clique(self):
@@ -254,6 +265,23 @@ class TestMinNonadjacentMatching:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             min_nonadjacent_matching(from_edge_list(4, []), 1)
+
+    def test_agrees_with_unpruned_search(self):
+        # the pruned search must return the very matching the plain one does
+        graphs = [random_alpha2_graph(i, 6, 12) for i in range(100, 140)]
+        graphs += [two_cliques(k) for k in range(3, 8)]  # two_cliques(7) has no 7-matching
+        graphs += [c5_blowup_complement(parts)
+                   for parts in ([1, 1, 1, 1, 1], [2, 1, 2, 1, 2], [3, 2, 2, 2, 3], [1, 4, 1, 4, 2])]
+        graphs += [complete_graph(n) for n in (2, 5, 9, 12)]
+        for g in graphs:
+            for t in range(1, g.n // 2 + 2):
+                try:
+                    expected = min_nonadjacent_matching_plain(g, t)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        min_nonadjacent_matching(g, t)
+                    continue
+                assert min_nonadjacent_matching(g, t) == expected
 
     def test_golden_output(self):
         # pins which optimal matching is returned on ties, not only its count
