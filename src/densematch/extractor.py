@@ -119,30 +119,24 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
 
 
 def check_run_args(c: float, t: int, trials: int) -> None:
-    """Raise ValueError unless ``c > 4`` and ``t`` and ``trials`` are integers ``>= 1``."""
+    """Raise ValueError unless ``c > 4`` and ``t`` and ``trials`` are integers ``>= 1``.
+
+    A bool or a float is refused by :func:`graphs._as_int`, not truncated.
+    """
     if not c > 4:
         raise ValueError(f"c must exceed 4 (got {c})")
-    if _as_int("t", t) < 1:
-        raise ValueError("t must be at least 1")
-    if _as_int("trials", trials) < 1:
-        raise ValueError("trials must be at least 1")
-
-
-def _check_master_seed(master_seed: int) -> None:
-    """Raise ValueError naming ``master_seed`` unless it is an integer ``>= 0``.
-
-    A float or bool is refused, not truncated: ``True`` would run seed 1.
-    """
-    if type(master_seed) is bool or _as_int("master_seed", master_seed) < 0:
-        raise ValueError(f"master_seed must be a nonnegative integer (got {master_seed!r})")
+    _as_int("t", t, 1)
+    _as_int("trials", trials, 1)
 
 
 def trial_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit seed for trial ``index`` under ``master_seed``."""
-    _check_master_seed(master_seed)
-    if index < 0:
-        raise ValueError("trial indices must be nonnegative")
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
+    """Deterministic 64-bit seed for trial ``index`` under ``master_seed``.
+
+    Both must be integers ``>= 0``; :func:`graphs._as_int` refuses a bool or
+    a float rather than truncating it, since ``True`` would run seed 1.
+    """
+    ss = np.random.SeedSequence([_as_int("master_seed", master_seed, 0),
+                                 _as_int("index", index, 0)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -162,17 +156,19 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
 
     ``g`` must have even order equal to ``round(ratio * t)`` and independence
     number at most 2; :func:`extract_best` checks the latter once instead of
-    per trial.  The trial draws from ``numpy.random.default_rng(seed)`` and
-    its report carries ``seed``, so ``extract_once(g, params, report.seed)``
-    replays it.  The accepted partition's edges form a matching, so any
-    ``t`` of them do as well; each edge is selected with probability
+    per trial.  ``seed`` must be an integer ``>= 0``; the trial draws from
+    ``numpy.random.default_rng(seed)`` and its report carries ``seed`` as a
+    Python int, so ``extract_once(g, params, report.seed)`` replays it.  The
+    accepted partition's edges form a matching, so any ``t`` of them do as
+    well; each edge is selected with probability
     ``t / intersection_size <= pick_cap``.
     """
     t = params.t
     if g.n != round(params.ratio * t):
         raise ValueError(f"graph order {g.n} does not match ratio*t = {params.ratio * t:.6g}")
     # default_rng passes a Generator through, and its report could not replay it
-    rng = np.random.default_rng(_as_int("seed", seed))
+    seed = _as_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
     matching = Matching(edges[_uniform_subset(len(edges), t, rng)].tolist())
     count = nonadjacent_pairs(g, matching)
@@ -194,9 +190,13 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     ``g_raw`` even when the parity fix deleted vertex 0.  Raises an
     aggregated :class:`SamplingFailure` only if every trial exhausts its
     attempts.
+
+    The reports cover completed trials only: a trial that exhausted its
+    ``max_attempts`` leaves no report, so a caller counting attempts adds
+    ``(trials - len(reports)) * max_attempts`` for the others.
     """
     check_run_args(c, t, trials)
-    _check_master_seed(master_seed)
+    _as_int("master_seed", master_seed, 0)
     if g_raw.n + 1e-9 < c * t:
         raise ValueError(f"graph order {g_raw.n} is below c*t = {c * t:.6g}")
     if not is_alpha_at_most_2(g_raw):

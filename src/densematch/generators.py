@@ -54,11 +54,9 @@ def c5_blowup_complement(part_sizes) -> Graph:
     at most 2; part sizes are caller-chosen so experiments can sweep density
     deterministically.
     """
-    sizes = [_as_int("part size", s) for s in part_sizes]
+    sizes = [_as_int("part size", s, 1) for s in part_sizes]
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise ValueError("every part size must be at least 1")
     n = sum(sizes)
     _check_n(n)
     offsets = [0]
@@ -88,10 +86,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     changes nothing.
     """
     n = _check_n(n)
-    seed = _as_int("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative (got {seed})")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
     neighbours = [[] for _ in range(n)]
     total = n * (n - 1) // 2

@@ -27,12 +27,24 @@ def iter_bits(x: int):
         x ^= low
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; a ValueError names ``name`` if it is not one."""
+def _as_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int, the one integer check of every public argument.
+
+    Python and numpy integers pass.  Bools (numpy's too), floats and anything
+    else are a ValueError ``"{name} {value!r} is not an integer"``; when
+    ``least`` is given, a smaller value is a ValueError naming ``name``, the
+    bound and the value.
+    """
     try:
-        return operator.index(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} {value!r} is not an integer") from None
+    if least is not None and number < least:
+        bound = "be nonnegative" if least == 0 else f"be at least {least}"
+        raise ValueError(f"{name} must {bound} (got {number})")
+    return number
 
 
 def _bit_in_byte(v: np.ndarray) -> np.ndarray:
@@ -44,12 +56,13 @@ def _bit_in_byte(v: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph given by its symmetric, loop-free bit rows.
 
-    Each row is stored as a Python int (numpy integers are converted; a
-    non-integer row is a ValueError naming it).  ``n`` and ``m`` are derived
-    from the rows, so they cannot disagree.  The rows are checked for bits
-    outside ``0..n-1``, loop bits and an odd popcount sum.  Symmetry itself
-    is not checked, only its parity: ``Graph((0b10, 0b100, 0))`` builds,
-    with ``m == 1`` and ``has_edge(0, 1) != has_edge(1, 0)``.
+    Each row is stored as the Python int :func:`_as_int` makes of it (a
+    bool, float or other non-integer row is a ValueError naming it).  ``n``
+    and ``m`` are derived from the rows, so they cannot disagree.  The rows
+    are checked for bits outside ``0..n-1``, loop bits and an odd popcount
+    sum.  Symmetry itself is not checked, only its parity:
+    ``Graph((0b10, 0b100, 0))`` builds, with ``m == 1`` and
+    ``has_edge(0, 1) != has_edge(1, 0)``.
     """
 
     rows: tuple[int, ...]
@@ -117,24 +130,15 @@ class Graph:
         return not any(rows[u] & rows[v] for u, v in co.edges())
 
 
-def _int_ends(u, v) -> tuple[int, int]:
-    """Edge ``(u, v)`` with Python int ends; a ValueError names the edge otherwise."""
-    try:
-        if isinstance(u, (bool, np.bool_)) or isinstance(v, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(u), operator.index(v)
-    except TypeError:
-        raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer end") from None
-
-
 @dataclass(frozen=True)
 class Matching:
     """Pairwise vertex-disjoint edges, stored as sorted ``(u, v)`` pairs.
 
     ``Matching(pairs)`` takes any iterable of endpoint pairs and stores each
-    pair smaller end first, the pairs sorted, as a tuple.  Ends must be
-    integers (numpy integers are converted); any other end, bools included,
-    is a ValueError naming its edge.
+    pair smaller end first, the pairs sorted, as a tuple.  Ends pass
+    :func:`_as_int` (numpy integers are converted); any other end, bools
+    included, is a ValueError naming its edge and the end, as in
+    ``edge (0, 1.0) end 1.0 is not an integer``.
     """
 
     edges: tuple[tuple[int, int], ...]
@@ -142,7 +146,8 @@ class Matching:
     def __post_init__(self):
         pairs = list(self.edges)
         if not set(map(type, chain.from_iterable(pairs))) <= {int}:
-            pairs = [_int_ends(u, v) for u, v in pairs]
+            pairs = [tuple(_as_int(f"edge ({u!r}, {v!r}) end", end) for end in (u, v))
+                     for u, v in pairs]
         norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -154,9 +159,10 @@ class Matching:
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph on ``n`` vertices from an iterable of endpoint pairs.
 
-    Duplicate edges collapse silently; self-loops and out-of-range endpoints
-    are errors.
+    ``n`` must be an integer in ``[0, MAX_VERTICES]``.  Duplicate edges
+    collapse silently; self-loops and out-of-range endpoints are errors.
     """
+    n = _as_int("n", n)
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     rows = [0] * n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .extractor import ExtractionParams, check_run_args, extract_best, prepare_extraction
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
-from .graphs import Graph
+from .graphs import Graph, _as_int
 from .sampling import DEFAULT_MAX_ATTEMPTS
 
 FAMILIES = ("two-cliques", "rtf", "c5", "complete")
@@ -200,8 +200,7 @@ def sweep_results(configs, max_workers: int = 1):
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
+    max_workers = _as_int("max_workers", max_workers, 1)
     groups: dict[str, list[int]] = {}
     for i, cfg in enumerate(configs):
         groups.setdefault(_graph_key(cfg), []).append(i)

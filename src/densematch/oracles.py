@@ -139,7 +139,7 @@ def _max_clique(n: int, rows, cap: int | None = None) -> int:
 
 def clique_number(g: Graph, limit: int = OMEGA_LIMIT) -> int:
     """Exact clique number by bitset branch and bound."""
-    if g.n > limit:
+    if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds clique-number limit {limit}")
     return _max_clique(g.n, list(g.rows))
 
@@ -180,7 +180,7 @@ def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
     as a hard ceiling (no matching is bigger).  Candidate edges are ordered
     by degree sum (descending), which affects speed only.
     """
-    if g.n > limit:
+    if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
     edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
     if not edges:
@@ -211,11 +211,9 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
     search records the same leaves in the same order as the unpruned one and
     returns the same matching.
     """
-    if g.n > limit:
+    if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
-    t = _as_int("t", t)
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    t = _as_int("t", t, 1)
     edges = list(g.edges())
     compat = _compatibility_rows(g, edges)
     incident = _incidence_masks(g.n, edges)
@@ -318,8 +316,7 @@ def clique_bound_audit(g: Graph, t: int) -> bool:
     ``t - 1``.  Returns True when a premise fails (vacuous) or the
     conclusion holds.  A False is a defect somewhere, not a discovery.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    t = _as_int("t", t, 1)
     alpha_is_two = is_alpha_at_most_2(g) and g.m < g.n * (g.n - 1) // 2
     if not alpha_is_two or g.n < 4 * t - 1:
         return True

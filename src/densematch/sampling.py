@@ -12,7 +12,7 @@ identical stream.
 import numpy as np
 
 from .errors import SamplingFailure
-from .graphs import Graph
+from .graphs import Graph, _as_int
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 
@@ -33,10 +33,8 @@ def sample_edge_heavy_partition(g: Graph, threshold: int, max_attempts: int,
     n = g.n
     if n < 2 or n % 2:
         raise ValueError(f"graph order must be even and >= 2, got {n}")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+    threshold = _as_int("threshold", threshold, 0)
+    max_attempts = _as_int("max_attempts", max_attempts, 1)
     for attempt in range(1, max_attempts + 1):
         shuffled = rng.permutation(n)
         a, b = shuffled[0::2], shuffled[1::2]

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 import statistics
 
@@ -153,6 +155,22 @@ class TestExtractOnce:
         with pytest.raises(ValueError, match="seed Generator.* is not an integer"):
             extract_once(complete_graph(32), params, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed, message", [
+        pytest.param(-1, r"seed must be nonnegative \(got -1\)", id="negative"),
+        pytest.param(True, "seed True is not an integer", id="bool"),
+    ])
+    def test_bad_seed_is_named(self, seed, message):
+        params = derive_params(8.0, 4, optimal_slack(8, 4))
+        with pytest.raises(ValueError, match=message):
+            extract_once(complete_graph(32), params, seed)
+
+    def test_numpy_seed_reported_as_int(self):
+        h, params = prepare_extraction(complement_of_random_triangle_free(48, 9), 6)
+        matching, report = extract_once(h, params, np.uint64(5))
+        assert (matching, report) == extract_once(h, params, 5)
+        assert type(report.seed) is int
+        assert json.loads(json.dumps(dataclasses.asdict(report)))["seed"] == 5
+
     def test_sampling_failure_propagates(self):
         params = ExtractionParams(ratio=8.0, t=4, slack=1.0, margin=2.5,
                                   accept_floor=0.5, pick_cap=0.4,
@@ -239,6 +257,10 @@ class TestExtractBest:
     @pytest.mark.parametrize("t, trials, message", [
         pytest.param(4.0, 1, "t 4.0 is not an integer", id="t"),
         pytest.param(4, 1.5, "trials 1.5 is not an integer", id="trials"),
+        pytest.param(True, 1, "t True is not an integer", id="t-bool"),
+        pytest.param(0, 1, r"t must be at least 1 \(got 0\)", id="t-zero"),
+        pytest.param(4, False, "trials False is not an integer", id="trials-bool"),
+        pytest.param(4, 0, r"trials must be at least 1 \(got 0\)", id="trials-zero"),
     ])
     def test_non_integer_t_or_trials_named(self, t, trials, message):
         # the edgeless graph fails the alpha check, so the arguments are checked first
@@ -321,6 +343,11 @@ class TestTrialSeed:
 
     def test_numpy_master_seed_accepted(self):
         assert trial_seed(np.int64(5), 3) == trial_seed(5, 3)
+
+    @pytest.mark.parametrize("index", [1.5, True, np.bool_(True), "1", None, -1])
+    def test_bad_index_is_named(self, index):
+        with pytest.raises(ValueError, match=r"^index (.* is not an integer|must be nonnegative)"):
+            trial_seed(0, index)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, -1, None])
     def test_bad_master_seed_is_named(self, seed):

@@ -141,6 +141,18 @@ class TestIntegerArguments:
                      "seed None is not an integer", id="rtf-seed-none"),
         pytest.param(lambda: complement_of_random_triangle_free(10, -1),
                      r"seed must be nonnegative \(got -1\)", id="rtf-seed-negative"),
+        pytest.param(lambda: complete_graph(True), "n True is not an integer",
+                     id="complete-n-bool"),
+        pytest.param(lambda: two_cliques(False), "s False is not an integer",
+                     id="two-cliques-s-bool"),
+        pytest.param(lambda: c5_blowup_complement((1, 1, True, 1, 1)),
+                     "part size True is not an integer", id="c5-part-bool"),
+        pytest.param(lambda: c5_blowup_complement((1, 1, 0, 1, 1)),
+                     r"part size must be at least 1 \(got 0\)", id="c5-part-zero"),
+        pytest.param(lambda: complement_of_random_triangle_free(True, 1),
+                     "n True is not an integer", id="rtf-n-bool"),
+        pytest.param(lambda: complement_of_random_triangle_free(10, True),
+                     "seed True is not an integer", id="rtf-seed-bool"),
     ])
     def test_bad_argument_is_named(self, build, message):
         with pytest.raises(ValueError, match=message):

@@ -108,6 +108,26 @@ class TestGraphFromRows:
         assert {g: 1}[Graph(rows)] == 1
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: Graph((2, True)), "row 1 value True is not an integer",
+                     id="graph-row-bool"),
+        pytest.param(lambda: from_edge_list(3.0, []), "n 3.0 is not an integer",
+                     id="edge-list-n-float"),
+        pytest.param(lambda: from_edge_list(True, []), "n True is not an integer",
+                     id="edge-list-n-bool"),
+        pytest.param(lambda: from_edge_list(np.bool_(True), []), "n .*True.* is not an integer",
+                     id="edge-list-n-numpy-bool"),
+        pytest.param(lambda: from_edge_list("3", []), "n '3' is not an integer",
+                     id="edge-list-n-str"),
+        pytest.param(lambda: from_edge_list(None, []), "n None is not an integer",
+                     id="edge-list-n-none"),
+    ])
+    def test_bad_argument_is_named(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def _packed_test_graphs():
     rng = np.random.default_rng(808)
     for n in (0, 1, 7, 8, 9, 17):
@@ -232,7 +252,7 @@ class TestMatchingValue:
         assert m.size == 2
 
     def test_float_end_names_the_edge(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) has a non-integer end"):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) end 1\.0 is not an integer"):
             Matching([(0, 1.0)])
 
     def test_numpy_integer_end_is_stored_as_int(self):
@@ -241,9 +261,9 @@ class TestMatchingValue:
         assert {type(x) for edge in m.edges for x in edge} == {int}
 
     def test_bool_end_rejected(self):
-        with pytest.raises(ValueError, match=r"edge \(True, 2\) has a non-integer end"):
+        with pytest.raises(ValueError, match=r"edge \(True, 2\) end True is not an integer"):
             Matching([(True, 2)])
-        with pytest.raises(ValueError, match="non-integer end"):
+        with pytest.raises(ValueError, match="end .*True.* is not an integer"):
             Matching([(0, np.bool_(True))])
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from densematch import (ExperimentConfig, derive_params, harness, optimal_slack,
@@ -171,6 +172,17 @@ class TestSweep:
         rows = parse_csv(render_csv(sweep_results([self.small_grid()[0], bad])))
         assert rows[1]["error"] == "ValueError: seed must be nonnegative (got -5)"
 
+    @pytest.mark.parametrize("field, value, error", [
+        pytest.param("t", 0, "ValueError: t must be at least 1 (got 0)", id="t"),
+        pytest.param("trials", 0, "ValueError: trials must be at least 1 (got 0)", id="trials"),
+        pytest.param("master_seed", -1, "ValueError: master_seed must be nonnegative (got -1)",
+                     id="master-seed"),
+    ])
+    def test_integer_field_error_row(self, field, value, error):
+        bad = dataclasses.replace(self.small_grid()[0], **{field: value})
+        rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[1]])))
+        assert [row["error"] for row in rows] == [error, ""]
+
     def test_reproducible_bytes(self):
         grid = self.small_grid()
         assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))
@@ -206,6 +218,18 @@ class TestSweep:
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ValueError, match="max_workers must be at least 1"):
             sweep_results(self.small_grid(), max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [True, np.bool_(True), 1.5, "2", None])
+    def test_non_integer_workers_named(self, workers, serial_pool):
+        with pytest.raises(ValueError, match="max_workers .* is not an integer"):
+            sweep_results(self.small_grid(), max_workers=workers)
+        assert serial_pool == []
+
+    def test_numpy_workers_accepted(self, serial_pool):
+        grid = self.small_grid()
+        assert (render_csv(sweep_results(grid, max_workers=np.int64(2)))
+                == render_csv(sweep_results(grid)))
+        assert serial_pool == [2]
 
     def test_pool_never_larger_than_grid(self, serial_pool):
         grid = self.small_grid()

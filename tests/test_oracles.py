@@ -306,6 +306,35 @@ class TestMinNonadjacentMatching:
         with pytest.raises(ValueError, match="t 2.0 is not an integer"):
             min_nonadjacent_matching(complete_graph(12), 2.0)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: min_nonadjacent_matching(complete_graph(6), 0),
+                     r"t must be at least 1 \(got 0\)", id="minmatch-t-zero"),
+        pytest.param(lambda: min_nonadjacent_matching(complete_graph(6), True),
+                     "t True is not an integer", id="minmatch-t-bool"),
+        pytest.param(lambda: min_nonadjacent_matching(complete_graph(6), 2, limit=14.5),
+                     "limit 14.5 is not an integer", id="minmatch-limit-float"),
+        pytest.param(lambda: clique_number(complete_graph(6), limit="40"),
+                     "limit '40' is not an integer", id="omega-limit-str"),
+        pytest.param(lambda: connected_matching_number(complete_graph(6), limit=None),
+                     "limit None is not an integer", id="cm-limit-none"),
+        pytest.param(lambda: clique_bound_audit(two_cliques(4), 1.5),
+                     "t 1.5 is not an integer", id="audit-t-float"),
+        pytest.param(lambda: clique_bound_audit(two_cliques(4), np.bool_(True)),
+                     "t .*True.* is not an integer", id="audit-t-numpy-bool"),
+        pytest.param(lambda: clique_bound_audit(two_cliques(4), 0),
+                     r"t must be at least 1 \(got 0\)", id="audit-t-zero"),
+    ])
+    def test_bad_integer_argument_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        g = two_cliques(5)
+        assert (min_nonadjacent_matching(g, np.int64(2), limit=np.int32(14))
+                == min_nonadjacent_matching(g, 2))
+        assert clique_number(g, limit=np.int64(10)) == clique_number(g)
+        assert clique_bound_audit(g, np.int64(2)) == clique_bound_audit(g, 2)
+
 
 class TestMatchingFromClique:
     def test_whole_clique(self):

@@ -175,6 +175,29 @@ class TestEdgeHeavyPartition:
         with pytest.raises(ValueError):
             sample_edge_heavy_partition(g, 1, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("threshold, max_attempts, message", [
+        pytest.param(-1, 10, r"threshold must be nonnegative \(got -1\)", id="threshold-negative"),
+        pytest.param(1.5, 10, "threshold 1.5 is not an integer", id="threshold-float"),
+        pytest.param(True, 10, "threshold True is not an integer", id="threshold-bool"),
+        pytest.param(1, 0, r"max_attempts must be at least 1 \(got 0\)", id="attempts-zero"),
+        pytest.param(1, 2.0, "max_attempts 2.0 is not an integer", id="attempts-float"),
+        pytest.param(1, None, "max_attempts None is not an integer", id="attempts-none"),
+        pytest.param(1, np.bool_(True), "max_attempts .*True.* is not an integer",
+                     id="attempts-numpy-bool"),
+    ])
+    def test_bad_integer_argument_is_named(self, threshold, max_attempts, message):
+        with pytest.raises(ValueError, match=message):
+            sample_edge_heavy_partition(complete_graph(4), threshold, max_attempts,
+                                        np.random.default_rng(0))
+
+    def test_numpy_integers_accepted(self):
+        g = two_cliques(8)
+        edges, attempts = sample_edge_heavy_partition(g, np.int64(4), np.int32(100),
+                                                      np.random.default_rng(2))
+        expected = sample_edge_heavy_partition(g, 4, 100, np.random.default_rng(2))
+        assert (edges.tolist(), attempts) == (expected[0].tolist(), expected[1])
+        assert type(attempts) is int
+
     def test_same_stream_as_plain_sampler(self):
         # an always-accepting call is one shuffle-and-pair draw, like sample_partition
         for n in (2, 10, 64):
