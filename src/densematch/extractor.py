@@ -67,6 +67,14 @@ class TrialReport:
     within_bound: bool
 
 
+def _check_t(t) -> int:
+    """``t`` as an int at least 1, else a ParameterError with :func:`graphs._as_int`'s text."""
+    try:
+        return _as_int("t", t, 1)
+    except ValueError as err:
+        raise ParameterError(str(err)) from None
+
+
 def optimal_slack(ratio: float, t: int) -> float:
     """Slack minimising the pair bound at fixed ``(ratio, t)``.
 
@@ -75,8 +83,7 @@ def optimal_slack(ratio: float, t: int) -> float:
     """
     if ratio <= 1:
         raise ParameterError(f"ratio must exceed 1 (got {ratio})")
-    if t < 1:
-        raise ParameterError(f"t must be at least 1 (got {t})")
+    t = _check_t(t)
     return (ratio * (ratio - 1.0) / (2.0 * t)) ** (1.0 / 3.0)
 
 
@@ -86,8 +93,7 @@ def derive_params(ratio: float, t: int, slack: float) -> ExtractionParams:
     Raises :class:`ParameterError` naming the violated inequality; the usual
     culprit is a ``t`` too small for the requested ratio.
     """
-    if t < 1:
-        raise ParameterError(f"t must be at least 1 (got {t})")
+    t = _check_t(t)
     if ratio < 4:
         raise ParameterError(f"ratio must be at least 4 (got {ratio:.6g})")
     if not slack * slack > ratio / t:

@@ -4,7 +4,10 @@ Vertices are the dense range ``0..n-1``.  Each adjacency row is a Python int
 used as a bitset: bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge.  The
 same rows are also available as a packed ``uint8`` matrix, built on first
 use, for vectorised lookups.  All operations treat graphs as read-only
-values, so instances are safe to share between threads.
+values, so instances are safe to share between threads: a value memoised on
+first use (the packed rows, the α ≤ 2 answer, the exact oracles' per-graph
+facts) is a pure function of the rows, so a race can only compute the same
+value twice.
 """
 
 import operator
@@ -45,6 +48,19 @@ def _as_int(name: str, value, least: int | None = None) -> int:
         bound = "be nonnegative" if least == 0 else f"be at least {least}"
         raise ValueError(f"{name} must {bound} (got {number})")
     return number
+
+
+def _int_pairs(pairs) -> list:
+    """``pairs`` as a list whose ends are ints, each checked by :func:`_as_int`
+    under the name of its edge, as in ``edge (0, 1.0) end 1.0 is not an integer``.
+
+    An all-int input is listed as it is, after one pass over the ends' types,
+    since an edge-list parse feeds millions of them.
+    """
+    pairs = list(pairs)
+    if set(map(type, chain.from_iterable(pairs))) <= {int}:
+        return pairs
+    return [tuple(_as_int(f"edge ({u!r}, {v!r}) end", end) for end in (u, v)) for u, v in pairs]
 
 
 def _bit_in_byte(v: np.ndarray) -> np.ndarray:
@@ -144,10 +160,7 @@ class Matching:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = list(self.edges)
-        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
-            pairs = [tuple(_as_int(f"edge ({u!r}, {v!r}) end", end) for end in (u, v))
-                     for u, v in pairs]
+        pairs = _int_pairs(self.edges)
         norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -159,14 +172,17 @@ class Matching:
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph on ``n`` vertices from an iterable of endpoint pairs.
 
-    ``n`` must be an integer in ``[0, MAX_VERTICES]``.  Duplicate edges
-    collapse silently; self-loops and out-of-range endpoints are errors.
+    ``n`` must be an integer in ``[0, MAX_VERTICES]``.  Ends are checked as
+    :class:`Matching`'s are, so a float or bool end is a ValueError naming
+    its edge.  Duplicate edges collapse silently; self-loops and
+    out-of-range endpoints are errors.
     """
     n = _as_int("n", n)
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    pairs = _int_pairs(edges)
     rows = [0] * n
-    for u, v in edges:
+    for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
@@ -226,7 +242,7 @@ def parse_edge_list(text: str) -> Graph:
     body = numbers[2:]
     if len(body) != 2 * m:
         raise ValueError(f"header declares {m} edges but body has {len(body)} endpoints")
-    return from_edge_list(n, list(zip(body[0::2], body[1::2])))
+    return from_edge_list(n, zip(body[0::2], body[1::2]))
 
 
 def read_edge_list(path) -> Graph:

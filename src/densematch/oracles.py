@@ -6,8 +6,14 @@ vectorised over the graph's packed rows and scales to extractor-sized
 inputs.  The other oracles are exhaustive or branch-and-bound grade, meant
 for desk-scale verification.  Their default size limits keep each under a
 few seconds on commodity hardware; pass ``limit`` explicitly to override.
+
+The connected-matching number and the exact search's edge tables do not
+depend on ``t``, so each is computed once per graph and then memoised, for
+as long as the graph lives; equal graphs share the values, which are pure
+functions of the rows.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +25,15 @@ from .graphs import (Graph, Matching, _as_int, _bit_in_byte, complement, is_alph
 CM_LIMIT = 24
 OMEGA_LIMIT = 40
 MINMATCH_LIMIT = 14
+
+
+# Per-graph memos with weak keys, so an entry lives as long as its graph:
+# the connected-matching number, and min_nonadjacent_matching's
+# (edges, compat, ends, touch) tables.  Each oracle reads its memo only after
+# its own argument checks, so a refused call stores nothing; two threads that
+# miss at once only compute the same value twice.
+_CM = weakref.WeakKeyDictionary()
+_SEARCH = weakref.WeakKeyDictionary()
 
 
 def validate_matching(g: Graph, m: Matching) -> np.ndarray:
@@ -178,14 +193,16 @@ def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
     A connected matching is exactly a clique of the edge-compatibility graph,
     so the clique engine does the search, with the vertex budget ``n // 2``
     as a hard ceiling (no matching is bigger).  Candidate edges are ordered
-    by degree sum (descending), which affects speed only.
+    by degree sum (descending), which affects speed only.  The search runs
+    once per graph.
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
-    edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
-    if not edges:
-        return 0
-    return _max_clique(len(edges), _compatibility_rows(g, edges), cap=g.n // 2)
+    cm = _CM.get(g)
+    if cm is None:
+        edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+        cm = _CM[g] = _max_clique(len(edges), _compatibility_rows(g, edges), cap=g.n // 2)
+    return cm
 
 
 def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
@@ -209,17 +226,21 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
 
     A pruned subtree holds no leaf strictly below the incumbent, so the
     search records the same leaves in the same order as the unpruned one and
-    returns the same matching.
+    returns the same matching.  The edge list and its bit tables do not
+    depend on ``t``; they are built once per graph.
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
     t = _as_int("t", t, 1)
-    edges = list(g.edges())
-    compat = _compatibility_rows(g, edges)
-    incident = _incidence_masks(g.n, edges)
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    # the edges that picking edge i rules out, itself included
-    touch = [incident[u] | incident[v] for u, v in edges]
+    tables = _SEARCH.get(g)
+    if tables is None:
+        edges = list(g.edges())
+        incident = _incidence_masks(g.n, edges)
+        ends = [(1 << u) | (1 << v) for u, v in edges]
+        # the edges that picking edge i rules out, itself included
+        touch = [incident[u] | incident[v] for u, v in edges]
+        tables = _SEARCH[g] = (edges, _compatibility_rows(g, edges), ends, touch)
+    edges, compat, ends, touch = tables
     best_count: int | None = None
     best_picked = 0
 
@@ -288,9 +309,10 @@ def matching_from_clique(g: Graph, clique_a) -> Matching:
     Takes a maximum matching between the clique and the rest of the graph,
     then pairs leftover clique vertices among themselves.  Every edge keeps
     an endpoint inside the clique, so any two edges are joined through it
-    and the result is connected.
+    and the result is connected.  Each vertex passes :func:`graphs._as_int`
+    before the set is formed, so ``True`` is refused, not merged with ``1``.
     """
-    a = sorted(set(clique_a))
+    a = sorted({_as_int("clique vertex", u) for u in clique_a})
     for u in a:
         if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} outside 0..{g.n - 1}")

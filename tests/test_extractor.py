@@ -45,6 +45,16 @@ class TestOptimalSlack:
         with pytest.raises(ParameterError):
             optimal_slack(8, 0)
 
+    @pytest.mark.parametrize("t, message", [
+        (2.5, "t 2.5 is not an integer"), (8.0, "t 8.0 is not an integer"),
+        (True, "t True is not an integer"), (0, r"t must be at least 1 \(got 0\)"),
+    ])
+    def test_bad_t_is_named(self, t, message):
+        with pytest.raises(ParameterError, match=message):
+            optimal_slack(8.0, t)
+        with pytest.raises(ParameterError, match=message):
+            derive_params(8.0, t, 2.5)
+
 
 class TestDeriveParams:
     def test_reference_values(self):
@@ -73,6 +83,10 @@ class TestDeriveParams:
     def test_slack_floor_violation_is_named(self):
         with pytest.raises(ParameterError, match="exceed ratio/t"):
             derive_params(8.0, 4, 1.0)
+
+    def test_numpy_t_stored_as_int(self):
+        p = derive_params(8.0, np.int64(4), 2.5)
+        assert p == derive_params(8.0, 4, 2.5) and type(p.t) is int
 
     def test_small_ratio_rejected(self):
         with pytest.raises(ParameterError, match="at least 4"):

@@ -122,10 +122,18 @@ class TestIntegerArguments:
                      id="edge-list-n-str"),
         pytest.param(lambda: from_edge_list(None, []), "n None is not an integer",
                      id="edge-list-n-none"),
+        pytest.param(lambda: from_edge_list(3, [(0, 1.0)]),
+                     r"edge \(0, 1\.0\) end 1\.0 is not an integer", id="edge-list-end-float"),
+        pytest.param(lambda: from_edge_list(3, [(0, 1), (True, 2)]),
+                     r"edge \(True, 2\) end True is not an integer", id="edge-list-end-bool"),
     ])
     def test_bad_argument_is_named(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_numpy_edge_ends_accepted(self):
+        ends = np.array([[0, 1], [1, 2]])
+        assert from_edge_list(3, ends.tolist()) == from_edge_list(3, map(tuple, ends))
 
 
 def _packed_test_graphs():

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from densematch import (Matching, c5_blowup_complement, clique_bound_audit, cliq
                         count_bad_quadruples, matching_from_clique,
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
 from densematch.errors import InfeasibleError, SizeLimitError
-from densematch.graphs import complement, from_edge_list
+from densematch import oracles
+from densematch.graphs import Graph, complement, from_edge_list
 from densematch.oracles import _compatibility_rows, validate_matching
 from helpers import (all_matchings, brute_clique_number, compatibility_rows_pairwise,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
@@ -358,6 +361,20 @@ class TestMatchingFromClique:
         with pytest.raises(ValueError, match="not a clique"):
             matching_from_clique(two_cliques(5), [0, 5])
 
+    @pytest.mark.parametrize("clique, message", [
+        pytest.param([0.0, 1], "clique vertex 0.0 is not an integer", id="float"),
+        pytest.param([True, 1], "clique vertex True is not an integer", id="bool"),
+        pytest.param([np.bool_(True)], "clique vertex .*True.* is not an integer",
+                     id="numpy-bool"),
+    ])
+    def test_non_integer_vertex_is_named(self, clique, message):
+        with pytest.raises(ValueError, match=message):
+            matching_from_clique(complete_graph(4), clique)
+
+    def test_numpy_vertices_accepted(self):
+        g = complete_graph(6)
+        assert matching_from_clique(g, np.arange(4)) == matching_from_clique(g, range(4))
+
     def test_output_always_connected(self):
         rng = np.random.default_rng(12)
         for i in range(60):
@@ -380,3 +397,106 @@ class TestCliqueBoundAudit:
             g = random_alpha2_graph(i, n_max=14)
             for t in range(1, g.n // 2 + 2):
                 assert clique_bound_audit(g, t)
+
+
+def _minimum(g: Graph, t: int):
+    try:
+        return min_nonadjacent_matching(g, t)
+    except InfeasibleError:
+        return None
+
+
+def _exact_facts(g: Graph, audit_first: bool):
+    """cm, the audit at every ``t`` and the exact minimum at every ``t`` of ``g``,
+    with the audits run before or after the exact searches."""
+    ts = range(1, g.n // 2 + 2)
+    if audit_first:
+        audits = [clique_bound_audit(g, t) for t in ts]
+        mins = [_minimum(g, t) for t in ts]
+    else:
+        mins = [_minimum(g, t) for t in ts]
+        audits = [clique_bound_audit(g, t) for t in ts]
+    return connected_matching_number(g), audits, mins
+
+
+def _memoised(g: Graph) -> bool:
+    return g in oracles._CM or g in oracles._SEARCH
+
+
+def _fresh(rows, call, *args):
+    """``call`` on a new graph of ``rows`` that no memo entry covers yet."""
+    g = Graph(rows)
+    assert not _memoised(g)
+    return call(g, *args)
+
+
+class TestPerGraphMemo:
+    """cm and the exact-search tables are computed once per graph."""
+
+    @pytest.mark.parametrize("audit_first", [True, False], ids=["audit-first", "minmatch-first"])
+    def test_memoised_answers_equal_fresh_ones(self, audit_first):
+        for i in range(60):
+            rows = random_alpha2_graph(i, 6, 12).rows
+            ts = range(1, len(rows) // 2 + 2)
+            expected = (
+                _fresh(rows, connected_matching_number),
+                [_fresh(rows, clique_bound_audit, t) for t in ts],
+                [_fresh(rows, _minimum, t) for t in ts],
+            )
+            g = Graph(rows)
+            assert _exact_facts(g, audit_first) == expected, i
+            assert _exact_facts(g, not audit_first) == expected, i
+            del g  # an equal graph in the next round must start without an entry
+
+    def test_cm_search_runs_once_per_graph(self, monkeypatch):
+        searches = []
+        engine = oracles._max_clique
+
+        def counted(n, rows, cap=None):
+            if cap is not None:  # only the connected-matching search passes a cap
+                searches.append(n)
+            return engine(n, rows, cap)
+
+        monkeypatch.setattr(oracles, "_max_clique", counted)
+        g = c5_blowup_complement([3, 3, 3, 3, 2])
+        first = _exact_facts(g, True)
+        assert len(searches) == 1
+        assert _exact_facts(g, False) == first
+        assert len(searches) == 1
+
+    def test_equal_graphs_share_answers(self):
+        for i in range(0, 40, 3):
+            g = random_alpha2_graph(i, 6, 12)
+            twin = Graph(g.rows)
+            assert twin == g and twin is not g
+            assert _exact_facts(g, True) == _exact_facts(twin, False)
+
+    def test_errors_repeat(self):
+        big = complete_graph(15)
+        g = two_cliques(5)
+        for _ in range(2):
+            with pytest.raises(SizeLimitError):
+                min_nonadjacent_matching(big, 2)
+            with pytest.raises(SizeLimitError):
+                connected_matching_number(complete_graph(25))
+            with pytest.raises(SizeLimitError):
+                clique_number(complete_graph(41))
+            with pytest.raises(SizeLimitError):
+                clique_number(g, limit=9)
+            for t in (0, 2.0):
+                with pytest.raises(ValueError, match="t "):
+                    min_nonadjacent_matching(g, t)
+                with pytest.raises(ValueError, match="t "):
+                    clique_bound_audit(g, t)
+            with pytest.raises(InfeasibleError):
+                min_nonadjacent_matching(g, 6)
+        assert not _memoised(big)  # refused before the memo is read
+
+    def test_memo_does_not_keep_a_graph_alive(self):
+        g = c5_blowup_complement([2, 2, 3, 2, 2])
+        _exact_facts(g, True)
+        assert g in oracles._CM and g in oracles._SEARCH
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
