@@ -120,7 +120,7 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
     """
     # dropping row 0 and bit 0 of every other row renumbers each w > 0 to w - 1
     g = Graph(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
-    ratio = g.n / t
+    ratio = g.n / _check_t(t)
     return g, derive_params(ratio, t, optimal_slack(ratio, t))
 
 

@@ -7,10 +7,9 @@ inputs.  The other oracles are exhaustive or branch-and-bound grade, meant
 for desk-scale verification.  Their default size limits keep each under a
 few seconds on commodity hardware; pass ``limit`` explicitly to override.
 
-The connected-matching number and the exact search's edge tables do not
-depend on ``t``, so each is computed once per graph and then memoised, for
-as long as the graph lives; equal graphs share the values, which are pure
-functions of the rows.
+The exact search's edge tables do not depend on ``t``, so they are built
+once per graph and then memoised, for as long as the graph lives; equal
+graphs share them, as they are pure functions of the rows.
 """
 
 import weakref
@@ -27,12 +26,10 @@ OMEGA_LIMIT = 40
 MINMATCH_LIMIT = 14
 
 
-# Per-graph memos with weak keys, so an entry lives as long as its graph:
-# the connected-matching number, and min_nonadjacent_matching's
-# (edges, compat, ends, touch) tables.  Each oracle reads its memo only after
-# its own argument checks, so a refused call stores nothing; two threads that
-# miss at once only compute the same value twice.
-_CM = weakref.WeakKeyDictionary()
+# min_nonadjacent_matching's (edges, compat, ends, touch) tables per graph,
+# with weak keys, so an entry lives as long as its graph.  The search reads
+# it only after its own argument checks, so a refused call stores nothing;
+# two threads that miss at once only build the same tables twice.
 _SEARCH = weakref.WeakKeyDictionary()
 
 
@@ -108,20 +105,19 @@ def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     return BadQuadrupleCount(total, bound)
 
 
-def _max_clique(n: int, rows, cap: int | None = None) -> int:
-    """Clique number by branch and bound with a greedy colouring bound.
+def _max_clique(n: int, rows, cap: int) -> int:
+    """``min(clique number, cap)`` by branch and bound with a greedy colouring bound.
 
-    Returns the size of a largest clique only, not its vertices.  A clique
-    takes at most one vertex per colour class of any proper colouring of the
-    candidate set, so the class index of a vertex bounds every extension
-    through it.  ``cap`` is an a-priori ceiling on the clique number; the
-    search stops outright once a clique of that size is found.
+    Returns a size only, not a clique.  A clique takes at most one vertex per
+    colour class of any proper colouring of the candidate set, so the class
+    index of a vertex bounds every extension through it.  The search stops
+    outright once it finds a clique of at least ``cap`` vertices.
     """
     best = 0
 
     def expand(depth: int, cand: int):
         nonlocal best
-        if cap is not None and best >= cap:
+        if best >= cap:
             return
         order: list[int] = []
         limits: list[int] = []
@@ -149,14 +145,14 @@ def _max_clique(n: int, rows, cap: int | None = None) -> int:
             cand ^= 1 << v
 
     expand(0, (1 << n) - 1)
-    return best
+    return min(best, cap)
 
 
 def clique_number(g: Graph, limit: int = OMEGA_LIMIT) -> int:
     """Exact clique number by bitset branch and bound."""
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds clique-number limit {limit}")
-    return _max_clique(g.n, list(g.rows))
+    return _max_clique(g.n, list(g.rows), g.n)
 
 
 def _incidence_masks(n: int, edges) -> list[int]:
@@ -168,41 +164,40 @@ def _incidence_masks(n: int, edges) -> list[int]:
     return incident
 
 
-def _compatibility_rows(g: Graph, edges) -> list[int]:
+def _compatibility_rows(g: Graph, edges, incident) -> list[int]:
     """Edge-compatibility bit rows: edges are compatible when they share no
-    endpoint and some graph edge joins their endpoint sets.
+    endpoint and some graph edge joins their endpoint sets.  ``incident`` is
+    :func:`_incidence_masks` of ``edges``.
 
-    Row ``i`` of edge ``uv`` is the OR of the incidence masks of every
-    neighbour of ``u`` or ``v``, less the edges at ``u`` or ``v`` themselves,
-    so the rows cost ``O(E * n)`` big-int ORs instead of ``O(E**2)`` pair tests.
+    ``near[w]`` is the OR of the incidence masks of the neighbours of ``w``.
+    Row ``i`` of edge ``uv`` is ``near[u] | near[v]``, less the edges at
+    ``u`` or ``v`` themselves, so the rows cost ``O(E)`` big-int ORs
+    instead of ``O(E**2)`` pair tests.
     """
-    rows = g.rows
-    incident = _incidence_masks(g.n, edges)
-    compat = []
-    for u, v in edges:
-        near = 0
-        for w in iter_bits(rows[u] | rows[v]):
-            near |= incident[w]
-        compat.append(near & ~(incident[u] | incident[v]))
-    return compat
+    near = [0] * g.n
+    for w, row in enumerate(g.rows):
+        for x in iter_bits(row):
+            near[w] |= incident[x]
+    return [(near[u] | near[v]) & ~(incident[u] | incident[v]) for u, v in edges]
 
 
-def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
-    """Largest size of a matching whose edge pairs are all endpoint-adjacent.
+def _connected_matching(g: Graph, cap: int, limit: int = CM_LIMIT) -> int:
+    """``min(cm, cap)`` for the connected-matching number ``cm`` of ``g``.
 
     A connected matching is exactly a clique of the edge-compatibility graph,
-    so the clique engine does the search, with the vertex budget ``n // 2``
-    as a hard ceiling (no matching is bigger).  Candidate edges are ordered
-    by degree sum (descending), which affects speed only.  The search runs
-    once per graph.
+    so the clique engine does the search and stops once it finds ``cap``
+    edges.  Candidate edges are ordered by degree sum (descending), which
+    affects speed only.
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
-    cm = _CM.get(g)
-    if cm is None:
-        edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
-        cm = _CM[g] = _max_clique(len(edges), _compatibility_rows(g, edges), cap=g.n // 2)
-    return cm
+    edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+    return _max_clique(len(edges), _compatibility_rows(g, edges, _incidence_masks(g.n, edges)), cap)
+
+
+def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
+    """Largest size of a matching whose edge pairs are all endpoint-adjacent."""
+    return _connected_matching(g, g.n // 2, limit)  # no matching is bigger
 
 
 def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
@@ -239,7 +234,7 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
         ends = [(1 << u) | (1 << v) for u, v in edges]
         # the edges that picking edge i rules out, itself included
         touch = [incident[u] | incident[v] for u, v in edges]
-        tables = _SEARCH[g] = (edges, _compatibility_rows(g, edges), ends, touch)
+        tables = _SEARCH[g] = (edges, _compatibility_rows(g, edges, incident), ends, touch)
     edges, compat, ends, touch = tables
     best_count: int | None = None
     best_picked = 0
@@ -330,19 +325,18 @@ def matching_from_clique(g: Graph, clique_a) -> Matching:
 
 
 def clique_bound_audit(g: Graph, t: int) -> bool:
-    """Single-instance audit that the clique number is at most the
-    connected-matching number under the premises.
+    """Whether ``g`` has a connected matching of size ``t`` where a conjecture says it must.
 
-    Premises: the largest independent set has size exactly 2, the order is
-    at least ``4t - 1``, and the connected-matching number is at most
-    ``t - 1``.  Returns True when a premise fails (vacuous) or the
-    conclusion holds.  A False is a defect somewhere, not a discovery.
+    The Füredi–Gyárfás–Simonyi conjecture ("Connected matchings and
+    Hadwiger's conjecture", CPC 2005) says every graph with independence
+    number at most 2 on ``n >= 4t - 1`` vertices has one, so that
+    ``cm >= floor((n + 1) / 4)``.  Asked only when the independence number is
+    exactly 2 and ``n >= 4t - 1``, by a search that stops at ``t`` edges; True
+    elsewhere (vacuous).  A False would be a counterexample to the
+    conjecture.  The name is kept because the benchmark wraps it.
     """
     t = _as_int("t", t, 1)
     alpha_is_two = is_alpha_at_most_2(g) and g.m < g.n * (g.n - 1) // 2
     if not alpha_is_two or g.n < 4 * t - 1:
         return True
-    cm = connected_matching_number(g)
-    if cm > t - 1:
-        return True
-    return clique_number(g) <= cm
+    return _connected_matching(g, t) >= t

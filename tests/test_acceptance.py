@@ -145,12 +145,20 @@ def test_criterion_03_bad_quadruple_bound():
 
 def test_criterion_04_clique_bound_audit():
     failures = []
+    tight = 0
     for i in range(500):
         g = random_alpha2_graph(i, n_min=4, n_max=16)
         for t in range(1, g.n // 2 + 2):
             if not clique_bound_audit(g, t):
                 failures.append((f"instance {i} (n={g.n}, t={t})", False))
-    report(4, "clique-vs-matching audit", failures + [("all audits true", not failures)])
+        # the Furedi-Gyarfas-Simonyi inequality the audit asks about, at its largest t
+        cm, floor = connected_matching_number(g), (g.n + 1) // 4
+        if cm < floor:
+            failures.append((f"instance {i} (n={g.n}): cm {cm} < {floor}", False))
+        tight += cm == floor
+    print(f"criterion 4: cm = floor((n+1)/4) on {tight} of 500 instances")
+    report(4, "clique-vs-matching audit",
+           failures + [("all audits true, cm >= floor((n+1)/4)", not failures)])
 
 
 def test_criterion_05_extremal_instance():

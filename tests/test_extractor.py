@@ -48,12 +48,15 @@ class TestOptimalSlack:
     @pytest.mark.parametrize("t, message", [
         (2.5, "t 2.5 is not an integer"), (8.0, "t 8.0 is not an integer"),
         (True, "t True is not an integer"), (0, r"t must be at least 1 \(got 0\)"),
+        (-1, r"t must be at least 1 \(got -1\)"),
     ])
     def test_bad_t_is_named(self, t, message):
         with pytest.raises(ParameterError, match=message):
             optimal_slack(8.0, t)
         with pytest.raises(ParameterError, match=message):
             derive_params(8.0, t, 2.5)
+        with pytest.raises(ParameterError, match=message):
+            prepare_extraction(complete_graph(16), t)
 
 
 class TestDeriveParams:

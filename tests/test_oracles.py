@@ -12,7 +12,7 @@ from densematch import (Matching, c5_blowup_complement, clique_bound_audit, cliq
 from densematch.errors import InfeasibleError, SizeLimitError
 from densematch import oracles
 from densematch.graphs import Graph, complement, from_edge_list
-from densematch.oracles import _compatibility_rows, validate_matching
+from densematch.oracles import _compatibility_rows, _incidence_masks, validate_matching
 from helpers import (all_matchings, brute_clique_number, compatibility_rows_pairwise,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      greedy_clique, min_nonadjacent_matching_plain,
@@ -233,7 +233,18 @@ class TestConnectedMatchingNumber:
             # the degree-sum order connected_matching_number searches in
             by_degree = sorted(by_index, key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
             for edges in (by_index, by_degree):
-                assert _compatibility_rows(g, edges) == compatibility_rows_pairwise(g, edges)
+                incident = _incidence_masks(g.n, edges)
+                assert (_compatibility_rows(g, edges, incident)
+                        == compatibility_rows_pairwise(g, edges))
+
+    def test_capped_search_gives_min_of_cm_and_cap(self):
+        graphs = [random_alpha2_graph(i, 6, 12) for i in range(60)]
+        graphs += [two_cliques(k) for k in range(3, 8)]
+        graphs += [c5_blowup_complement([3, 3, 3, 3, 2]), c5_blowup_complement([2, 4, 2, 3, 3])]
+        for g in graphs:
+            cm = connected_matching_number(g)
+            for cap in range(1, g.n // 2 + 1):
+                assert oracles._connected_matching(g, cap) == min(cm, cap), (g.rows, cap)
 
 
 class TestMinNonadjacentMatching:
@@ -398,6 +409,40 @@ class TestCliqueBoundAudit:
             for t in range(1, g.n // 2 + 2):
                 assert clique_bound_audit(g, t)
 
+    def test_two_clique_boundary(self):
+        for t in range(1, 5):
+            # n = 4t - 2 is one vertex short of the premise, and cm = t - 1 there
+            assert connected_matching_number(two_cliques(2 * t - 1)) == t - 1
+            assert clique_bound_audit(two_cliques(2 * t - 1), t)
+            # n = 4t meets it, and cm = t exactly
+            assert connected_matching_number(two_cliques(2 * t)) == t
+            assert clique_bound_audit(two_cliques(2 * t), t)
+
+    def test_false_when_the_search_falls_short(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_max_clique", lambda n, rows, cap: cap - 1)
+        g = two_cliques(4)  # alpha = 2, n = 8
+        assert not clique_bound_audit(g, 2)  # n >= 4t - 1
+        assert clique_bound_audit(g, 3)  # n < 4t - 1: vacuous, no search
+
+    def test_search_is_capped_at_t(self, monkeypatch):
+        caps = []
+        engine = oracles._max_clique
+
+        def recorded(n, rows, cap):
+            caps.append(cap)
+            return engine(n, rows, cap)
+
+        monkeypatch.setattr(oracles, "_max_clique", recorded)
+        g = c5_blowup_complement([3, 3, 3, 3, 4])
+        assert all(clique_bound_audit(g, t) for t in range(1, g.n // 2 + 1))
+        assert caps == [1, 2, 3, 4]  # the t with n >= 4t - 1; never n // 2 = 8
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitError,
+                           match=r"^graph order 25 exceeds connected-matching limit 24$"):
+            clique_bound_audit(c5_blowup_complement([5, 5, 5, 5, 5]), 1)
+        assert clique_bound_audit(complete_graph(30), 3)
+
 
 def _minimum(g: Graph, t: int):
     try:
@@ -420,7 +465,7 @@ def _exact_facts(g: Graph, audit_first: bool):
 
 
 def _memoised(g: Graph) -> bool:
-    return g in oracles._CM or g in oracles._SEARCH
+    return g in oracles._SEARCH
 
 
 def _fresh(rows, call, *args):
@@ -431,7 +476,7 @@ def _fresh(rows, call, *args):
 
 
 class TestPerGraphMemo:
-    """cm and the exact-search tables are computed once per graph."""
+    """The exact-search tables are built once per graph."""
 
     @pytest.mark.parametrize("audit_first", [True, False], ids=["audit-first", "minmatch-first"])
     def test_memoised_answers_equal_fresh_ones(self, audit_first):
@@ -447,22 +492,6 @@ class TestPerGraphMemo:
             assert _exact_facts(g, audit_first) == expected, i
             assert _exact_facts(g, not audit_first) == expected, i
             del g  # an equal graph in the next round must start without an entry
-
-    def test_cm_search_runs_once_per_graph(self, monkeypatch):
-        searches = []
-        engine = oracles._max_clique
-
-        def counted(n, rows, cap=None):
-            if cap is not None:  # only the connected-matching search passes a cap
-                searches.append(n)
-            return engine(n, rows, cap)
-
-        monkeypatch.setattr(oracles, "_max_clique", counted)
-        g = c5_blowup_complement([3, 3, 3, 3, 2])
-        first = _exact_facts(g, True)
-        assert len(searches) == 1
-        assert _exact_facts(g, False) == first
-        assert len(searches) == 1
 
     def test_equal_graphs_share_answers(self):
         for i in range(0, 40, 3):
@@ -495,7 +524,7 @@ class TestPerGraphMemo:
     def test_memo_does_not_keep_a_graph_alive(self):
         g = c5_blowup_complement([2, 2, 3, 2, 2])
         _exact_facts(g, True)
-        assert g in oracles._CM and g in oracles._SEARCH
+        assert g in oracles._SEARCH
         ref = weakref.ref(g)
         del g
         gc.collect()
