@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, SamplingFailure
 from .graphs import Graph, Matching, _as_int, is_alpha_at_most_2
-from .oracles import nonadjacent_pairs
+from .oracles import _count_unlinked, nonadjacent_pairs
 from .sampling import DEFAULT_MAX_ATTEMPTS, sample_edge_heavy_partition
 
 
@@ -119,7 +119,7 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
     necessary only improves the bound.
     """
     # dropping row 0 and bit 0 of every other row renumbers each w > 0 to w - 1
-    g = Graph(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
+    g = Graph._of_rows(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
     ratio = g.n / _check_t(t)
     return g, derive_params(ratio, t, optimal_slack(ratio, t))
 
@@ -168,6 +168,11 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
     accepted partition's edges form a matching, so any ``t`` of them do as
     well; each edge is selected with probability
     ``t / intersection_size <= pick_cap``.
+
+    The trial scores the sampler's pair array directly and builds its
+    matching without re-checking it, since the partition makes it valid by
+    construction; :func:`extract_best` checks the winner once with
+    :func:`oracles.nonadjacent_pairs`.
     """
     t = params.t
     if g.n != round(params.ratio * t):
@@ -176,8 +181,11 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
     seed = _as_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
-    matching = Matching(edges[_uniform_subset(len(edges), t, rng)].tolist())
-    count = nonadjacent_pairs(g, matching)
+    picked = edges[_uniform_subset(len(edges), t, rng)]
+    # the pairs are disjoint, so their smaller ends are distinct and this is Matching's order
+    picked = picked[np.argsort(picked[:, 0])]
+    count = _count_unlinked(g, picked[:, 0], picked[:, 1])
+    matching = Matching._of_sorted(picked)
     report = TrialReport(seed, attempts, len(edges), count,
                          params.pair_bound, count <= params.pair_bound)
     return matching, report
@@ -193,9 +201,12 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     of :func:`prepare_extraction`; the winner minimises
     ``(nonadjacent pairs, trial index)``, a reduction that does not depend on
     evaluation order.  The returned matching uses the vertex ids of
-    ``g_raw`` even when the parity fix deleted vertex 0.  Raises an
-    aggregated :class:`SamplingFailure` only if every trial exhausts its
-    attempts.
+    ``g_raw`` even when the parity fix deleted vertex 0.  Trials score
+    their own pair arrays unchecked; the winner alone goes through the
+    public :func:`oracles.nonadjacent_pairs` on ``g_raw``, so the returned
+    matching has passed :func:`oracles.validate_matching`, and a count that
+    differs from its trial's is a RuntimeError.  Raises an aggregated
+    :class:`SamplingFailure` only if every trial exhausts its attempts.
 
     The reports cover completed trials only: a trial that exhausted its
     ``max_attempts`` leaves no report, so a caller counting attempts adds
@@ -222,8 +233,12 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     if best is None:
         raise SamplingFailure(trials * max_attempts,
                               f"all {trials} trials exhausted {max_attempts} attempts each")
-    matching = best[0]
+    matching, report = best
     if g_raw.n % 2:
         # the parity fix renumbered ids w > 0 to w - 1; shift back to the input's ids
-        matching = Matching((u + 1, v + 1) for u, v in matching.edges)
+        matching = Matching._of_sorted(np.array(matching.edges) + 1)
+    count = nonadjacent_pairs(g_raw, matching)
+    if count != report.nonadjacent_pairs:
+        raise RuntimeError(f"trial seed {report.seed} counted {report.nonadjacent_pairs} "
+                           f"non-adjacent pairs, its matching has {count}")
     return matching, reports

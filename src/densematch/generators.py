@@ -26,7 +26,7 @@ def complete_graph(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
     n = _check_n(n)
     full = (1 << n) - 1
-    return Graph(tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._of_rows(tuple(full ^ (1 << v) for v in range(n)))
 
 
 def two_cliques(s: int) -> Graph:
@@ -42,7 +42,7 @@ def two_cliques(s: int) -> Graph:
     mask_b = mask_a << s
     rows = [mask_a ^ (1 << v) for v in range(s)]
     rows += [mask_b ^ (1 << v) for v in range(s, 2 * s)]
-    return Graph(tuple(rows))
+    return Graph._of_rows(tuple(rows))
 
 
 def c5_blowup_complement(part_sizes) -> Graph:
@@ -69,7 +69,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
         blow_row = part_masks[(i - 1) % 5] | part_masks[(i + 1) % 5]
         for v in range(offsets[i], offsets[i] + sizes[i]):
             rows.append((full ^ blow_row) ^ (1 << v))
-    return Graph(tuple(rows))
+    return Graph._of_rows(tuple(rows))
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -107,7 +107,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
         length *= _SEGMENT_GROWTH
     full = (1 << n) - 1
     comp = [(full ^ row) ^ (1 << v) for v, row in enumerate(rows)]
-    return Graph(tuple(comp))
+    return Graph._of_rows(tuple(comp))
 
 
 def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:

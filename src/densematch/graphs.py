@@ -75,10 +75,10 @@ class Graph:
     Each row is stored as the Python int :func:`_as_int` makes of it (a
     bool, float or other non-integer row is a ValueError naming it).  ``n``
     and ``m`` are derived from the rows, so they cannot disagree.  The rows
-    are checked for bits outside ``0..n-1``, loop bits and an odd popcount
-    sum.  Symmetry itself is not checked, only its parity:
-    ``Graph((0b10, 0b100, 0))`` builds, with ``m == 1`` and
-    ``has_edge(0, 1) != has_edge(1, 0)``.
+    are checked for bits outside ``0..n-1``, loop bits and symmetry, exactly:
+    ``Graph((0b10, 0b100, 0))`` is a ValueError naming the pair ``(0, 1)``.
+    The library's own builders, whose rows are valid by construction, go
+    through :meth:`_of_rows` instead and skip these checks.
     """
 
     rows: tuple[int, ...]
@@ -103,7 +103,21 @@ class Graph:
             total += row.bit_count()
         if total % 2:
             raise ValueError("rows are not symmetric (odd total popcount)")
+        bits = np.unpackbits(self.packed, axis=1, count=n, bitorder="little")
+        one_way = np.argwhere(bits > bits.T)
+        if len(one_way):
+            u, v = one_way[0].tolist()
+            raise ValueError(f"rows are not symmetric: row {u} has bit {v}, row {v} lacks bit {u}")
         object.__setattr__(self, "m", total // 2)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[int, ...]) -> "Graph":
+        """Trusted build from a tuple of Python int rows that are symmetric,
+        loop-free and inside ``0..n-1`` by construction; no check is made."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "m", sum(row.bit_count() for row in rows) // 2)
+        return g
 
     @cached_property
     def n(self) -> int:
@@ -124,7 +138,8 @@ class Graph:
 
     @cached_property
     def packed(self) -> np.ndarray:
-        """Read-only ``n x ceil(n/8)`` ``uint8`` copy of the rows, built on first use.
+        """Read-only ``n x ceil(n/8)`` ``uint8`` copy of the rows, built on first use
+        (``Graph(rows)`` uses it for its symmetry check).
 
         Bit ``v`` of row ``u`` is bit ``v % 8`` of byte ``v // 8``
         (little-endian), so row ``u`` holds the bytes of ``rows[u]``.
@@ -164,6 +179,17 @@ class Matching:
         norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _of_sorted(cls, pairs: np.ndarray) -> "Matching":
+        """Trusted build from a ``(k, 2)`` integer array of disjoint pairs,
+        each smaller end first, the rows sorted by that end; no check is made.
+
+        Equal to ``Matching(pairs.tolist())``, with every end a Python int.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "edges", tuple(map(tuple, pairs.tolist())))
+        return m
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -189,14 +215,13 @@ def from_edge_list(n: int, edges) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(tuple(rows))
+    return Graph._of_rows(tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
     full = (1 << g.n) - 1
-    rows = tuple((full ^ row) ^ (1 << v) for v, row in enumerate(g.rows))
-    return Graph(rows)
+    return Graph._of_rows(tuple((full ^ row) ^ (1 << v) for v, row in enumerate(g.rows)))
 
 
 def is_alpha_at_most_2(g: Graph) -> bool:

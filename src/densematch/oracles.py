@@ -49,18 +49,26 @@ def validate_matching(g: Graph, m: Matching) -> np.ndarray:
     return np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
 
 
-def nonadjacent_pairs(g: Graph, m: Matching) -> int:
-    """Number of matching-edge pairs with no edge between their endpoint sets.
+def _count_unlinked(g: Graph, a: np.ndarray, b: np.ndarray) -> int:
+    """Number of pairs among the edges ``a[i] b[i]`` with no edge between their
+    endpoint sets.  The edges must form a matching of ``g``; nothing is checked.
 
     ORs the packed rows of each edge's ends into its neighbourhood row and reads the
     ``t x t`` matrix of edge-to-edge links from those rows at every edge's ends.  It is
     symmetric with an all-true diagonal, so its false entries count every pair twice.
     """
-    ends = validate_matching(g, m)
-    a, b = ends[0::2], ends[1::2]
     union = g.packed[a] | g.packed[b]
     linked = (union[:, a >> 3] & _bit_in_byte(a)) | (union[:, b >> 3] & _bit_in_byte(b))
     return int(np.count_nonzero(linked == 0)) // 2
+
+
+def nonadjacent_pairs(g: Graph, m: Matching) -> int:
+    """Number of matching-edge pairs with no edge between their endpoint sets.
+
+    Raises ValueError unless ``m`` passes :func:`validate_matching`.
+    """
+    ends = validate_matching(g, m)
+    return _count_unlinked(g, ends[0::2], ends[1::2])
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,8 @@ def _connected_matching(g: Graph, cap: int, limit: int = CM_LIMIT) -> int:
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
-    edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+    deg = [row.bit_count() for row in g.rows]
+    edges = sorted(g.edges(), key=lambda e: -(deg[e[0]] + deg[e[1]]))
     return _max_clique(len(edges), _compatibility_rows(g, edges, _incidence_masks(g.n, edges)), cap)
 
 

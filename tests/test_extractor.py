@@ -12,6 +12,7 @@ from densematch import (Matching, c5_blowup_complement,
                         count_bad_quadruples, derive_params, extract_best,
                         extract_once, is_alpha_at_most_2, nonadjacent_pairs,
                         optimal_slack, two_cliques)
+from densematch import extractor, oracles
 from densematch.errors import ParameterError, SamplingFailure
 from densematch.extractor import (ExtractionParams, _uniform_subset,
                                   prepare_extraction, trial_seed)
@@ -156,6 +157,20 @@ class TestExtractOnce:
             assert matching.size == 6
             validate_matching(g, matching)
 
+    @pytest.mark.parametrize("g, t", [
+        pytest.param(complement_of_random_triangle_free(80, 1), 10, id="rtf"),
+        pytest.param(c5_blowup_complement([8, 8, 8, 8, 32]), 8, id="c5"),
+        pytest.param(two_cliques(16), 4, id="two-cliques"),
+    ])
+    def test_array_count_equals_public_score(self, g, t):
+        # the trial scores its own pair array and builds its matching unchecked
+        _, params = prepare_extraction(g, t)
+        for seed in range(50):
+            matching, report = extract_once(g, params, seed)
+            assert report.nonadjacent_pairs == nonadjacent_pairs(g, matching)
+            assert matching == Matching(list(matching.edges))
+            assert all(type(end) is int for edge in matching.edges for end in edge)
+
     def test_order_mismatch_rejected(self):
         params = derive_params(8.0, 4, optimal_slack(8, 4))
         with pytest.raises(ValueError, match="does not match"):
@@ -294,6 +309,26 @@ class TestExtractBest:
         best = min(range(len(reports)), key=lambda i: reports[i].nonadjacent_pairs)
         shift = g.n % 2
         assert matching == Matching((u + shift, v + shift) for u, v in replays[best][0].edges)
+
+    @pytest.mark.parametrize("n", [81, 80])
+    def test_winner_alone_is_validated_on_the_input_graph(self, n, monkeypatch):
+        g = complement_of_random_triangle_free(n, 3)
+        validated = []
+
+        def spy(graph, matching):
+            validated.append((graph, matching))
+            return validate_matching(graph, matching)
+
+        monkeypatch.setattr(oracles, "validate_matching", spy)
+        matching, reports = extract_best(g, 8.0, 10, 6, master_seed=50)
+        assert validated == [(g, matching)]
+        assert nonadjacent_pairs(g, matching) == min(r.nonadjacent_pairs for r in reports)
+
+    def test_winner_count_mismatch_raises(self, monkeypatch):
+        real = extractor._count_unlinked
+        monkeypatch.setattr(extractor, "_count_unlinked", lambda g, a, b: real(g, a, b) + 1)
+        with pytest.raises(RuntimeError, match="counted 1 non-adjacent pairs, its matching has 0"):
+            extract_best(complete_graph(97), 8.0, 12, 3, master_seed=0)
 
     def test_every_trial_failing_raises_one_aggregate(self):
         # two K400 hold about 200 partition edges on average, far below the 285 demanded

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from densematch import (Graph, Matching, build_family,
-                        complement_of_random_triangle_free, is_alpha_at_most_2,
+from densematch import (Graph, Matching, build_family, c5_blowup_complement,
+                        complement_of_random_triangle_free, complete_graph, is_alpha_at_most_2,
                         nonadjacent_pairs, read_edge_list, two_cliques, write_edge_list)
 from densematch.extractor import prepare_extraction
 from densematch.graphs import (MAX_VERTICES, complement, format_edge_list,
@@ -84,6 +84,28 @@ class TestGraphFromRows:
         with pytest.raises(ValueError, match="odd total popcount"):
             Graph((0b10, 0))
 
+    def test_asymmetric_even_popcount_rejected(self):
+        # two one-way bits keep the popcount sum even, so only an exact check sees them
+        with pytest.raises(ValueError, match="row 0 has bit 1, row 1 lacks bit 0"):
+            Graph((0b10, 0b100, 0))
+
+    @given(graphs(), st.data())
+    def test_any_two_flipped_bits_rejected(self, g, data):
+        # flipping bits (u, v) and (w, x) of a symmetric graph keeps the parity,
+        # and the result is symmetric only when the two flips are mirror images
+        n = g.n
+        assume(n >= 2)
+        # (u, u + step) mod n with 0 < step < n, so never a loop bit
+        cells = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+            lambda c: (c[0], (c[0] + c[1]) % n))
+        (u, v), (w, x) = data.draw(cells), data.draw(cells)
+        assume((w, x) not in ((u, v), (v, u)))
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[w] ^= 1 << x
+        with pytest.raises(ValueError, match="rows are not symmetric"):
+            Graph(tuple(rows))
+
     def test_top_vertex_accepted(self):
         g = Graph(tuple([1 << 8] + [0] * 7 + [1]))
         assert list(g.edges()) == [(0, 8)]
@@ -106,6 +128,35 @@ class TestGraphFromRows:
         assert g == Graph(rows)
         assert hash(g) == hash(Graph(rows))
         assert {g: 1}[Graph(rows)] == 1
+
+
+def _checked_twin(g):
+    """Assert ``Graph(g.rows)`` has ``g``'s value, hash, repr, ``n`` and ``m``."""
+    twin = Graph(g.rows)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert g.m == twin.m and g.n == twin.n
+    assert all(type(row) is int for row in g.rows)
+
+
+class TestTrustedBuilders:
+    """Builders whose rows are valid by construction skip the checks of ``Graph(rows)``."""
+
+    def test_generators(self):
+        for g in (complete_graph(9), two_cliques(5), c5_blowup_complement((1, 2, 1, 3, 2)),
+                  complement_of_random_triangle_free(21, seed=4)):
+            _checked_twin(g)
+
+    @given(graphs())
+    def test_from_edge_list_and_complement(self, g):
+        _checked_twin(g)
+        _checked_twin(complement(g))
+
+    @pytest.mark.parametrize("n, t", [(33, 4), (65, 8), (97, 12)])
+    def test_parity_fix(self, n, t):
+        for g in (complete_graph(n), complement_of_random_triangle_free(n, seed=n)):
+            fixed, _ = prepare_extraction(g, t)
+            assert fixed.n == n - 1
+            _checked_twin(fixed)
 
 
 class TestIntegerArguments:
@@ -273,6 +324,18 @@ class TestMatchingValue:
             Matching([(True, 2)])
         with pytest.raises(ValueError, match="end .*True.* is not an integer"):
             Matching([(0, np.bool_(True))])
+
+    @given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))), st.data(),
+           st.sampled_from([np.int64, np.intp, np.int32, np.uint16]))
+    def test_trusted_build_equals_checked_build(self, perm, data, dtype):
+        k = data.draw(st.integers(0, len(perm) // 2))
+        pairs = sorted((min(u, v), max(u, v)) for u, v in zip(perm[0:2 * k:2], perm[1:2 * k:2]))
+        arr = np.array(pairs, dtype=dtype).reshape(k, 2)
+        trusted, checked = Matching._of_sorted(arr), Matching(arr.tolist())
+        assert trusted == checked
+        assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+        assert all(type(end) is int for edge in trusted.edges for end in edge)
+        assert all(type(edge) is tuple for edge in trusted.edges)
 
 
 class TestEdgeListFormat:
