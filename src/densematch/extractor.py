@@ -10,6 +10,7 @@ concrete matching.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +126,10 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
 
 
 def check_run_args(c: float, t: int, trials: int) -> None:
-    """Raise ValueError unless ``c > 4`` and ``t`` and ``trials`` are integers ``>= 1``.
-
-    A bool or a float is refused by :func:`graphs._as_int`, not truncated.
-    """
+    """Raise ValueError, in :func:`graphs._as_int`'s wording, unless ``c`` is a real
+    number above 4 and ``t`` and ``trials`` are integers ``>= 1``; bools are refused."""
+    if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real):
+        raise ValueError(f"c {c!r} is not a number")
     if not c > 4:
         raise ValueError(f"c must exceed 4 (got {c})")
     _as_int("t", t, 1)

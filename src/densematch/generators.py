@@ -6,7 +6,7 @@ the same inputs yields bitwise-identical adjacency rows.
 
 import numpy as np
 
-from .graphs import Graph, MAX_VERTICES, _as_int
+from .graphs import Graph, MAX_VERTICES, _as_int, complement
 
 # the random triangle-free process visits its first 32*n pairs unfiltered;
 # each later segment, 4x longer than the one before, is filtered against a
@@ -105,9 +105,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
                 neighbours[v].append(u)
         start += length
         length *= _SEGMENT_GROWTH
-    full = (1 << n) - 1
-    comp = [(full ^ row) ^ (1 << v) for v, row in enumerate(rows)]
-    return Graph._of_rows(tuple(comp))
+    return complement(Graph._of_rows(tuple(rows)))
 
 
 def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:

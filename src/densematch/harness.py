@@ -161,12 +161,13 @@ def _attempt(fn, *args):
 
 
 def _graph_key(cfg: ExperimentConfig) -> str:
-    """What :func:`build_family` reads of ``cfg``; equal keys name one graph.
-
-    ``repr`` is hashable whatever the fields hold and keeps ``1600`` apart
-    from ``1600.0``, so configs share a graph only where the builds agree.
-    """
-    return repr((cfg.family, cfg.n, cfg.parts, cfg.effective_graph_seed()))
+    """What :func:`build_family` reads of ``cfg`` (rtf: ``n`` and the seed; c5: ``parts``;
+    else ``n``); equal keys name one graph.  ``repr`` is hashable whatever the fields
+    hold and keeps ``1600`` apart from ``1600.0``, so only agreeing builds are shared."""
+    if cfg.family not in FAMILIES:  # validation refuses it; key on every field
+        return repr((cfg.family, cfg.n, cfg.parts, cfg.effective_graph_seed()))
+    reads = {"rtf": (cfg.n, cfg.effective_graph_seed()), "c5": cfg.parts}
+    return repr((cfg.family, reads.get(cfg.family, cfg.n)))
 
 
 def _run_group(configs: list) -> list:

@@ -1,11 +1,11 @@
 """Exact combinatorial oracles.
 
-Matching adjacency scores, bad-quadruple counts, clique and
-connected-matching numbers, and small-graph audits.  Scoring a matching is
-vectorised over the graph's packed rows and scales to extractor-sized
-inputs.  The other oracles are exhaustive or branch-and-bound grade, meant
-for desk-scale verification.  Their default size limits keep each under a
-few seconds on commodity hardware; pass ``limit`` explicitly to override.
+Matching adjacency scores and bad-quadruple counts scale to extractor-sized
+inputs: scoring is vectorised over the packed rows, and the count is one
+codegree pass over the edges and one over the non-edges.  Clique and
+connected-matching numbers and small-graph audits are exhaustive or
+branch-and-bound grade, for desk-scale verification, under default size
+limits that keep each to a few seconds; pass ``limit`` to override.
 
 The exact search's edge tables do not depend on ``t``, so they are built
 once per graph and then memoised, for as long as the graph lives; equal
@@ -81,15 +81,18 @@ class BadQuadrupleCount:
 
 def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     """Count ordered ``(u, v, w, z)`` with ``uv, wz`` edges and all four cross
-    pairs ``uw, uz, vw, vz`` non-edges.
+    pairs ``uw, uz, vw, vz`` non-edges, exactly on every graph.
 
-    Enumerates ordered non-adjacent ``(u, w)`` first and then the eligible
-    ``v`` and ``z``, so the cost scales with the complement size instead of
-    ``n**4``.  With ``b`` the number of non-edges and ``k = n - min_degree``
-    (the smallest ``k`` with every degree at least ``n - k``, so the tightest
-    cap), the count is at most ``2*b*(k-1)**2``.  Every unordered pair of
-    disjoint non-adjacent edges is counted exactly 8 times, so the count is
-    always divisible by 8.
+    With ``T(u, v)`` the common non-neighbours of ``u`` and ``v`` and ``e(S)``
+    the ordered edges inside ``S``, the count is ``2 * (sum over edges uv of
+    |T(u, v)|*(|T(u, v)|-1) - sum over non-edges wz of e(T(w, z)))``: the
+    partners of ``uv`` are the ordered pairs in ``T(u, v)`` but its ordered
+    non-edges, and a non-edge ``wz`` lies in ``T(u, v)`` iff ``u, v`` lie in
+    ``T(w, z)``.  With independence number at most 2 every ``T(w, z)`` is
+    empty, as ``w``, ``z`` and any vertex of it would be independent.  With
+    ``b`` non-edges and the tightest ``k = n - min_degree``, the count is at
+    most ``2*b*(k-1)**2``; each unordered pair of disjoint non-adjacent
+    edges is counted 8 times, so it is divisible by 8.
     """
     n = g.n
     if n == 0:
@@ -100,17 +103,14 @@ def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     rows = g.rows
     nadj = co.rows
     total = 0
-    for u in range(n):
-        nu = nadj[u]
-        ru = rows[u]
-        for w in iter_bits(nu):
-            vmask = ru & nadj[w]
-            if not vmask:
-                continue
-            base = rows[w] & nu
-            for v in iter_bits(vmask):
-                total += (base & nadj[v]).bit_count()
-    return BadQuadrupleCount(total, bound)
+    for u, v in g.edges():
+        c = (nadj[u] & nadj[v]).bit_count()
+        total += c * (c - 1)
+    for w, z in co.edges():
+        common = nadj[w] & nadj[z]
+        for x in iter_bits(common):
+            total -= (rows[x] & common).bit_count()
+    return BadQuadrupleCount(2 * total, bound)
 
 
 def _max_clique(n: int, rows, cap: int) -> int:

@@ -268,6 +268,30 @@ def count_bad_quadruples_naive(g: Graph) -> int:
     return total
 
 
+def count_bad_quadruples_enumerated(g: Graph) -> int:
+    """Ordered bad quadruples by enumeration, for sizes the quartic scan cannot reach.
+
+    Takes each ordered non-adjacent ``(u, w)``, then each neighbour ``v`` of
+    ``u`` that is not adjacent to ``w``, and counts the neighbours ``z`` of
+    ``w`` adjacent to neither ``u`` nor ``v``.  Reads only ``g.rows`` and
+    builds its own non-adjacency rows.
+    """
+    n = g.n
+    rows = g.rows
+    nadj = [((1 << n) - 1) & ~row & ~(1 << v) for v, row in enumerate(rows)]
+
+    def members(x):
+        return [i for i in range(n) if x >> i & 1]
+
+    total = 0
+    for u in range(n):
+        for w in members(nadj[u]):
+            base = rows[w] & nadj[u]
+            for v in members(rows[u] & nadj[w]):
+                total += bin(base & nadj[v]).count("1")
+    return total
+
+
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

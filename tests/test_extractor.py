@@ -299,6 +299,22 @@ class TestExtractBest:
         with pytest.raises(ValueError, match=message):
             extract_best(from_edge_list(40, []), 8.0, t, trials, master_seed=0)
 
+    @pytest.mark.parametrize("c", [
+        pytest.param("5", id="str"),
+        pytest.param(True, id="bool"),
+        pytest.param(np.True_, id="numpy-bool"),
+        pytest.param(None, id="none"),
+    ])
+    def test_non_number_c_named(self, c):
+        with pytest.raises(ValueError) as err:
+            extract_best(complete_graph(40), c, 4, 1, master_seed=0)
+        assert str(err.value) == f"c {c!r} is not a number"
+
+    @pytest.mark.parametrize("c", [8, np.float64(8.0), np.int64(8)])
+    def test_numeric_c_accepted(self, c):
+        matching, _ = extract_best(complete_graph(40), c, 4, 1, master_seed=0)
+        assert matching.size == 4
+
     @pytest.mark.parametrize("n, graph_seed", [(81, 3), (80, 1)])
     def test_reports_replay_from_their_seed(self, n, graph_seed):
         g = complement_of_random_triangle_free(n, graph_seed)

@@ -183,6 +183,11 @@ class TestSweep:
         rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[1]])))
         assert [row["error"] for row in rows] == [error, ""]
 
+    def test_non_number_c_error_row(self):
+        bad = dataclasses.replace(self.small_grid()[0], c="5")
+        rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[1]])))
+        assert [row["error"] for row in rows] == ["ValueError: c '5' is not a number", ""]
+
     def test_reproducible_bytes(self):
         grid = self.small_grid()
         assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))
@@ -316,6 +321,30 @@ class TestSharedGraph:
             self.EMPTY_BUILD_ERROR, None, self.EMPTY_BUILD_ERROR]
         assert builds == [empty, other]
         assert render_json(results) == render_json(separate_runs(grid))
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(ExperimentConfig(family="c5", c=8.0, t=5, trials=2, master_seed=1,
+                                      parts=(8, 8, 8, 8, 8)), id="c5"),
+        pytest.param(ExperimentConfig(family="complete", c=8.0, t=5, trials=2,
+                                      master_seed=1, n=40), id="complete"),
+        pytest.param(ExperimentConfig(family="two-cliques", c=8.0, t=5, trials=2,
+                                      master_seed=1, n=40, graph_seed=3), id="two-cliques"),
+    ])
+    def test_configs_differing_in_an_unread_seed_share_one_build(self, cfg, builds):
+        grid = [cfg, dataclasses.replace(cfg, master_seed=2),
+                dataclasses.replace(cfg, graph_seed=4)]
+        results = sweep_results(grid)
+        assert [error for _, _, error in results] == [None, None, None]
+        assert builds == [cfg]
+        assert render_csv(results) == render_csv(separate_runs(grid))
+
+    def test_rtf_shares_only_an_equal_graph_seed(self, builds):
+        cfg = ExperimentConfig(family="rtf", c=8.0, t=5, trials=2, master_seed=1, n=40)
+        grid = [cfg, dataclasses.replace(cfg, master_seed=2),
+                dataclasses.replace(cfg, master_seed=3, graph_seed=1)]
+        results = sweep_results(grid)
+        assert builds == grid[:2]
+        assert render_csv(results) == render_csv(separate_runs(grid))
 
     def test_no_sharing_across_calls(self, builds):
         grid = self.interleaved_grid()

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from densematch import (Matching, c5_blowup_complement, clique_bound_audit, clique_number,
-                        complete_graph, connected_matching_number,
+                        complement_of_random_triangle_free, complete_graph,
+                        connected_matching_number,
                         count_bad_quadruples, matching_from_clique,
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
 from densematch.errors import InfeasibleError, SizeLimitError
 from densematch import oracles
 from densematch.graphs import Graph, complement, from_edge_list
 from densematch.oracles import _compatibility_rows, _incidence_masks, validate_matching
-from helpers import (all_matchings, brute_clique_number, compatibility_rows_pairwise,
+from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
+                     compatibility_rows_pairwise, count_bad_quadruples_enumerated,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      greedy_clique, min_nonadjacent_matching_plain,
                      random_alpha2_graph, random_graph, random_matching_of,
@@ -174,6 +176,48 @@ class TestBadQuadruples:
             delta = min(map(g.degree, range(g.n)))
             assert result.bound == 2 * b * (g.n - delta - 1) ** 2
             assert result.count <= result.bound
+
+    def test_matches_enumeration_on_random_graphs(self):
+        # the sum over non-edges vanishes when alpha <= 2, so graphs with an
+        # independent triple must be among the inputs to exercise it
+        rng = np.random.default_rng(18)
+        alpha_above_2 = 0
+        for _ in range(30):
+            g = random_graph(int(rng.integers(20, 61)), float(rng.uniform(0.2, 0.9)), rng)
+            assert count_bad_quadruples(g).count == count_bad_quadruples_enumerated(g)
+            alpha_above_2 += not brute_alpha_at_most_2(g)
+        assert alpha_above_2 >= 10
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: complement_of_random_triangle_free(40, 3), id="rtf-40"),
+        pytest.param(lambda: complement_of_random_triangle_free(120, 5), id="rtf-120"),
+        pytest.param(lambda: c5_blowup_complement((8, 8, 8, 8, 8)), id="c5-40"),
+        pytest.param(lambda: two_cliques(20), id="two-cliques-40"),
+        pytest.param(lambda: two_cliques(60), id="two-cliques-120"),
+        pytest.param(lambda: complete_graph(40), id="complete-40"),
+        pytest.param(lambda: complete_graph(120), id="complete-120"),
+    ])
+    def test_matches_enumeration_on_families(self, build):
+        g = build()
+        assert count_bad_quadruples(g).count == count_bad_quadruples_enumerated(g)
+
+    def test_matches_enumeration_with_k_above_t(self):
+        # n = 80, so t = n/8 = 10, while k = n - min_degree = 69
+        g = c5_blowup_complement((4, 4, 4, 4, 64))
+        assert g.n - min(map(g.degree, range(g.n))) > g.n // 8
+        result = count_bad_quadruples(g)
+        assert result.count == count_bad_quadruples_enumerated(g) > 0
+
+    @pytest.mark.parametrize("n", [60, 100])
+    @pytest.mark.parametrize("p", [0.3, 0.45])
+    def test_matches_enumeration_on_complement_bipartite(self, n, p):
+        # two cliques of n/2, each cross pair kept as an edge with probability 1 - p
+        rng = np.random.default_rng(n)
+        half = n // 2
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u < half) == (v < half) or rng.random() >= p]
+        g = from_edge_list(n, edges)
+        assert count_bad_quadruples(g).count == count_bad_quadruples_enumerated(g) > 0
 
 
 class TestCliqueNumber:
