@@ -4,9 +4,10 @@ pairs from a graph whose independence number is at most 2.
 Pipeline: fix parity by deleting vertex 0 when the order is odd, derive the
 conditioning threshold and probability parameters from the order-to-size
 ratio, rejection-sample a uniform pair-partition that contains many graph
-edges, and pick ``t`` of those edges uniformly.  Repeating over independent
-seeds and keeping the best trial turns the expectation guarantee into a
-concrete matching.
+edges, and keep its first ``t`` edges in draw order, a uniform ``t``-subset
+since acceptance reads only the unordered partition.  Repeating over
+independent seeds and keeping the best trial turns the expectation guarantee
+into a concrete matching.
 """
 
 import math
@@ -147,16 +148,6 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _uniform_subset(size: int, k: int, rng: np.random.Generator) -> list[int]:
-    """Indices of a uniform ``k``-subset of ``range(size)``, by partial Fisher-Yates shuffle."""
-    if k > size:
-        raise ValueError(f"cannot pick {k} items from {size}")
-    pool = list(range(size))
-    for i, j in enumerate(rng.integers(np.arange(k), size).tolist()):
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
-
-
 def extract_once(g: Graph, params: ExtractionParams, seed: int,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, TrialReport]:
     """Run one extraction trial on ``g`` with prepared parameters.
@@ -167,8 +158,9 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
     ``numpy.random.default_rng(seed)`` and its report carries ``seed`` as a
     Python int, so ``extract_once(g, params, report.seed)`` replays it.  The
     accepted partition's edges form a matching, so any ``t`` of them do as
-    well; each edge is selected with probability
-    ``t / intersection_size <= pick_cap``.
+    well; the trial keeps the first ``t`` in draw order, which is uniform
+    given the partition, so each edge is selected with probability
+    ``t / intersection_size <= pick_cap``; fewer than ``t`` is a ValueError.
 
     The trial scores the sampler's pair array directly and builds its
     matching without re-checking it, since the partition makes it valid by
@@ -182,7 +174,10 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
     seed = _as_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     edges, attempts = sample_edge_heavy_partition(g, params.threshold, max_attempts, rng)
-    picked = edges[_uniform_subset(len(edges), t, rng)]
+    if len(edges) < t:
+        raise ValueError(f"cannot pick t = {t} edges from a partition holding {len(edges)}")
+    # given its partition the draw order is uniform, so these are a uniform t-subset
+    picked = edges[:t]
     # the pairs are disjoint, so their smaller ends are distinct and this is Matching's order
     picked = picked[np.argsort(picked[:, 0])]
     count = _count_unlinked(g, picked[:, 0], picked[:, 1])

@@ -38,6 +38,10 @@ def _check_family(family: str, n: int | None, parts) -> None:
     if family == "c5":
         if parts is None:
             raise ValueError("family c5 needs parts")
+        if n is not None:
+            raise ValueError("family c5 takes parts, not n")
+    elif parts is not None:
+        raise ValueError(f"family {family} takes n, not parts")
     elif n is None:
         raise ValueError(f"family {family} needs n")
     elif family == "two-cliques" and n % 2:
@@ -45,7 +49,7 @@ def _check_family(family: str, n: int | None, parts) -> None:
 
 
 def build_family(family: str, n: int | None, parts, seed: int) -> Graph:
-    """Instance of ``family``: ``n`` vertices, or c5 ``parts``; ``seed`` is for rtf.
+    """Instance of ``family`` from ``n``, or c5's ``parts`` (the other None); ``seed`` is for rtf.
 
     Calls the generators bound at import, so one build is one generator call
     even where the ``generators`` module attributes are wrapped.

@@ -54,6 +54,16 @@ class TestGen:
         assert code == 2
         assert "comma-separated" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "c5", "--parts", "4,3,3,3,3", "--n", "5000"), "family c5 takes parts, not n"),
+        (("--family", "rtf", "--n", "12", "--parts", "4,4,4"), "family rtf takes n, not parts"),
+    ], ids=["c5-n", "rtf-parts"])
+    def test_field_the_family_does_not_read_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("family", ["two-cliques", "rtf", "complete"])
     def test_missing_n(self, capsys, family):
         code, _, err = run_cli(capsys, "gen", "--family", family)
@@ -213,6 +223,13 @@ class TestExperiment:
         assert rows[0]["error"] == "" and rows[1]["error"] != ""
         docs = json.loads(out_json.read_text())
         assert "error" in docs[1]
+
+    def test_field_the_family_does_not_read_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--family", "c5", "--c", "8", "--t", "10",
+                               "--parts", "16,16,16,16,16", "--n", "5000")
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["error"] for row in rows] == ["ValueError: family c5 takes parts, not n"]
 
     def test_flags_override_config(self, tmp_path, capsys):
         path = tmp_path / "one.json"

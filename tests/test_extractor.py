@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import statistics
@@ -14,11 +16,11 @@ from densematch import (Matching, c5_blowup_complement,
                         optimal_slack, two_cliques)
 from densematch import extractor, oracles
 from densematch.errors import ParameterError, SamplingFailure
-from densematch.extractor import (ExtractionParams, _uniform_subset,
-                                  prepare_extraction, trial_seed)
+from densematch.extractor import ExtractionParams, prepare_extraction, trial_seed
 from densematch.graphs import from_edge_list
 from densematch.oracles import validate_matching
-from densematch.sampling import sample_edge_heavy_partition
+from densematch.sampling import DEFAULT_MAX_ATTEMPTS, sample_edge_heavy_partition
+from helpers import all_pairings
 
 
 def reference_bound(ratio, t, slack):
@@ -203,6 +205,14 @@ class TestExtractOnce:
         assert type(report.seed) is int
         assert json.loads(json.dumps(dataclasses.asdict(report)))["seed"] == 5
 
+    def test_short_partition_names_t(self):
+        # hand-built params may demand fewer partition edges than the t to pick
+        params = ExtractionParams(ratio=8.0, t=4, slack=1.0, margin=2.5,
+                                  accept_floor=0.5, pick_cap=0.4,
+                                  threshold=0, pair_bound=1.0)
+        with pytest.raises(ValueError, match=r"t = 4 .* holding 0"):
+            extract_once(from_edge_list(32, []), params, 0)
+
     def test_sampling_failure_propagates(self):
         params = ExtractionParams(ratio=8.0, t=4, slack=1.0, margin=2.5,
                                   accept_floor=0.5, pick_cap=0.4,
@@ -231,20 +241,58 @@ class TestSelectionProbability:
     def test_per_edge_frequency_at_most_pick_cap(self):
         g = complement_of_random_triangle_free(24, 6)
         _, params = prepare_extraction(g, 2)
-        edges, _ = sample_edge_heavy_partition(g, params.threshold, 10**4,
-                                               np.random.default_rng(4))
-        pool = [tuple(p) for p in edges.tolist()]
-        rng = np.random.default_rng(5)
-        rounds = 10_000
-        hits = {p: 0 for p in pool}
-        for _ in range(rounds):
-            for i in _uniform_subset(len(pool), params.t, rng):
-                hits[pool[i]] += 1
-        expected = params.t / len(pool)
-        assert expected <= params.pick_cap
-        sigma = math.sqrt(expected * (1 - expected) / rounds)
-        for p, h in hits.items():
-            assert h / rounds <= params.pick_cap + 4 * sigma
+        rounds = 5_000
+        present, hits = collections.Counter(), collections.Counter()
+        for seed in range(rounds):
+            matching, report = extract_once(g, params, seed)
+            # the trial draws only through the sampler, so replaying it gives the partition
+            edges, _ = sample_edge_heavy_partition(g, params.threshold, DEFAULT_MAX_ATTEMPTS,
+                                                   np.random.default_rng(seed))
+            assert len(edges) == report.intersection_size
+            assert params.t / len(edges) <= params.pick_cap
+            present.update(map(tuple, edges.tolist()))
+            hits.update(matching.edges)
+        assert hits.keys() <= present.keys()
+        for edge, times in present.items():
+            sigma = math.sqrt(params.pick_cap * (1 - params.pick_cap) / times)
+            assert hits[edge] / times <= params.pick_cap + 4 * sigma
+
+    def test_exact_law_over_every_shuffle_order(self, monkeypatch):
+        # feed the sampler each of the 8! shuffle orders once: every accepted
+        # partition must come out equally often, and within one every t-subset
+        # of its edges must be picked equally often
+        g = complement_of_random_triangle_free(8, 0)
+        params = ExtractionParams(ratio=4.0, t=2, slack=1.0, margin=1.5, accept_floor=0.5,
+                                  pick_cap=0.5, threshold=3, pair_bound=1.0)
+
+        class FixedOrder:
+            order = None
+
+            def permutation(self, n):
+                return np.array(self.order)
+
+        shuffle = FixedOrder()
+        real = extractor.sample_edge_heavy_partition
+        monkeypatch.setattr(extractor, "sample_edge_heavy_partition",
+                            lambda graph, threshold, max_attempts, rng:
+                            real(graph, threshold, max_attempts, shuffle))
+        law = collections.defaultdict(collections.Counter)
+        for order in itertools.permutations(range(g.n)):
+            shuffle.order = order
+            try:
+                matching, _ = extract_once(g, params, 0, max_attempts=1)
+            except SamplingFailure:
+                continue
+            partition = tuple(sorted(tuple(sorted(order[i:i + 2])) for i in range(0, g.n, 2)))
+            law[partition][matching.edges] += 1
+        heavy = {p: [e for e in p if g.has_edge(*e)] for p in all_pairings(range(g.n))}
+        heavy = {p: edges for p, edges in heavy.items() if len(edges) >= params.threshold}
+        assert law.keys() == heavy.keys()
+        assert {len(edges) for edges in heavy.values()} == {3, 4}
+        assert len({sum(picks.values()) for picks in law.values()}) == 1
+        for partition, picks in law.items():
+            assert picks.keys() == set(itertools.combinations(heavy[partition], params.t))
+            assert len(set(picks.values())) == 1
 
 
 class TestExtractBest:
@@ -357,18 +405,18 @@ class TestExtractBest:
         _, params = prepare_extraction(g, 4)
         trials = []
         for index in range(8):
-            seed = trial_seed(21, index)
+            seed = trial_seed(13, index)
             try:
                 trials.append(extract_once(g, params, seed, max_attempts=1))
             except SamplingFailure:
                 trials.append(None)
         survivors = [i for i, trial in enumerate(trials) if trial is not None]
         # failures before and between survivors, and a three-way tie for the minimum
-        assert survivors == [1, 2, 4, 5, 7]
-        assert [trials[i][1].nonadjacent_pairs for i in survivors] == [4, 3, 3, 4, 3]
-        matching, reports = extract_best(g, 8.0, 4, 8, master_seed=21, max_attempts=1)
+        assert survivors == [1, 2, 3, 4, 6, 7]
+        assert [trials[i][1].nonadjacent_pairs for i in survivors] == [4, 4, 3, 4, 3, 3]
+        matching, reports = extract_best(g, 8.0, 4, 8, master_seed=13, max_attempts=1)
         assert reports == [trials[i][1] for i in survivors]
-        assert matching == trials[2][0]
+        assert matching == trials[3][0]
 
     def test_deterministic(self):
         g = complement_of_random_triangle_free(80, 1)
@@ -383,8 +431,8 @@ class TestExtractBest:
         assert [r.seed for r in ra] != [r.seed for r in rb]
 
     def test_golden_output(self):
-        # pinned before scoring and sampling moved to the packed rows; the
-        # odd order 801 exercises the parity fix
+        # re-pinned when the pick became the accepted partition's first t
+        # edges in draw order; the odd order 801 exercises the parity fix
         graphs = [complement_of_random_triangle_free(801, 5),
                   complement_of_random_triangle_free(1600, 9),
                   c5_blowup_complement([16, 16, 16, 16, 736]),
@@ -395,7 +443,7 @@ class TestExtractBest:
                 out = extract_best(g, 8.0, 100, 5, master_seed, max_attempts=1000)
                 digest.update(repr(out).encode())
         assert digest.hexdigest() == (
-            "e1016228d1eef7992d7b3d0497f684bead2508f22d2d3e6a2609bc096c20fb9c")
+            "d1874a6367a72b8b9e3ff3dbff0fa0535de95162b8f72d44a10e7cf2be194db8")
 
 
 class TestTrialSeed:

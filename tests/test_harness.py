@@ -188,6 +188,22 @@ class TestSweep:
         rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[1]])))
         assert [row["error"] for row in rows] == ["ValueError: c '5' is not a number", ""]
 
+    @pytest.mark.parametrize("family, n, parts", [
+        pytest.param("c5", 80, (16, 16, 16, 16, 16), id="c5-n"),
+        pytest.param("rtf", 12, (4, 4, 4), id="rtf-parts"),
+        pytest.param("complete", 12, (4, 4, 4), id="complete-parts"),
+        pytest.param("two-cliques", 12, (4, 4, 4), id="two-cliques-parts"),
+    ])
+    def test_field_the_family_does_not_read_is_refused(self, family, n, parts):
+        message = ("family c5 takes parts, not n" if family == "c5"
+                   else f"family {family} takes n, not parts")
+        with pytest.raises(ValueError, match=message):
+            harness.build_family(family, n, parts, 0)
+        bad = ExperimentConfig(family=family, c=8.0, t=1, trials=1, master_seed=0,
+                               n=n, parts=parts)
+        rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[0]])))
+        assert [row["error"] for row in rows] == [f"ValueError: {message}", ""]
+
     def test_reproducible_bytes(self):
         grid = self.small_grid()
         assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))
