@@ -6,7 +6,7 @@ the same inputs yields bitwise-identical adjacency rows.
 
 import numpy as np
 
-from .graphs import Graph, MAX_VERTICES, _as_int, complement
+from .graphs import Graph, _as_int, _as_order, complement
 
 # the random triangle-free process visits its first 32*n pairs unfiltered;
 # each later segment, 4x longer than the one before, is filtered against a
@@ -15,16 +15,9 @@ _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
 
 
-def _check_n(n: int) -> int:
-    n = _as_int("n", n)
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
-    return n
-
-
 def complete_graph(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
-    n = _check_n(n)
+    n = _as_order(n, 1)
     full = (1 << n) - 1
     return Graph._of_rows(tuple(full ^ (1 << v) for v in range(n)))
 
@@ -37,7 +30,7 @@ def two_cliques(s: int) -> Graph:
     because cross pairs of edges have no edge between them.
     """
     s = _as_int("s", s)
-    _check_n(2 * s)
+    _as_order(2 * s, 1)
     mask_a = (1 << s) - 1
     mask_b = mask_a << s
     rows = [mask_a ^ (1 << v) for v in range(s)]
@@ -58,7 +51,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
     n = sum(sizes)
-    _check_n(n)
+    _as_order(n, 1)
     offsets = [0]
     for s in sizes[:4]:
         offsets.append(offsets[-1] + s)
@@ -85,7 +78,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     so such a pair would still be rejected at its turn, and a rejected pair
     changes nothing.
     """
-    n = _check_n(n)
+    n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
     neighbours = [[] for _ in range(n)]

@@ -20,6 +20,8 @@ import numpy as np
 
 # n rows of n bits each: 2**16 vertices hold 512 MiB of rows (2**20 would hold 128 GiB)
 MAX_VERTICES = 1 << 16
+# rows per band of Graph's symmetry check, a multiple of 8 so bands start on a byte
+_SYMMETRY_BAND = 256
 
 
 def iter_bits(x: int):
@@ -48,6 +50,15 @@ def _as_int(name: str, value, least: int | None = None) -> int:
         bound = "be nonnegative" if least == 0 else f"be at least {least}"
         raise ValueError(f"{name} must {bound} (got {number})")
     return number
+
+
+def _as_order(n, least: int = 0) -> int:
+    """``n`` as an int vertex count in ``[least, MAX_VERTICES]``, the one order check
+    of every graph build; ``n`` passes :func:`_as_int` first."""
+    n = _as_int("n", n)
+    if not least <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [{least}, {MAX_VERTICES}]")
+    return n
 
 
 def _int_pairs(pairs) -> list:
@@ -91,9 +102,7 @@ class Graph:
             # numpy integers have no int.to_bytes, which the packed rows need
             rows = tuple(_as_int(f"row {v} value", row) for v, row in enumerate(rows))
         object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        n = _as_order(len(rows))
         total = 0
         for v, row in enumerate(rows):
             if row >> n:
@@ -101,13 +110,17 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"row {v} carries a self-loop bit")
             total += row.bit_count()
-        if total % 2:
-            raise ValueError("rows are not symmetric (odd total popcount)")
-        bits = np.unpackbits(self.packed, axis=1, count=n, bitorder="little")
-        one_way = np.argwhere(bits > bits.T)
-        if len(one_way):
-            u, v = one_way[0].tolist()
-            raise ValueError(f"rows are not symmetric: row {u} has bit {v}, row {v} lacks bit {u}")
+        # a band of rows against the same band of columns at a time, so the
+        # check holds O(n) bytes per band row instead of the n x n bit matrix
+        for lo in range(0, n, _SYMMETRY_BAND):
+            rows_bits = np.unpackbits(self.packed[lo:lo + _SYMMETRY_BAND], axis=1,
+                                      count=n, bitorder="little")
+            cols_bits = np.unpackbits(self.packed[:, lo >> 3:(lo + _SYMMETRY_BAND) >> 3], axis=1,
+                                      count=len(rows_bits), bitorder="little")
+            one_way = np.argwhere(rows_bits > cols_bits.T)
+            if len(one_way):
+                u, v = (one_way[0] + (lo, 0)).tolist()
+                raise ValueError(f"rows are not symmetric: row {u} has bit {v}, row {v} lacks bit {u}")
         object.__setattr__(self, "m", total // 2)
 
     @classmethod
@@ -203,9 +216,7 @@ def from_edge_list(n: int, edges) -> Graph:
     its edge.  Duplicate edges collapse silently; self-loops and
     out-of-range endpoints are errors.
     """
-    n = _as_int("n", n)
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    n = _as_order(n)
     pairs = _int_pairs(edges)
     rows = [0] * n
     for u, v in pairs:

@@ -32,6 +32,14 @@ CSV_COLUMNS = [
 ]
 
 
+def _integers(values) -> list[int] | None:
+    """``values`` as ints where :func:`_as_int` takes each one, else None; never raises."""
+    try:
+        return [_as_int("value", v) for v in values]
+    except (TypeError, ValueError):
+        return None
+
+
 def _check_family(family: str, n: int | None, parts) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -44,7 +52,7 @@ def _check_family(family: str, n: int | None, parts) -> None:
         raise ValueError(f"family {family} takes n, not parts")
     elif n is None:
         raise ValueError(f"family {family} needs n")
-    elif family == "two-cliques" and n % 2:
+    elif family == "two-cliques" and _as_int("n", n) % 2:
         raise ValueError("family two-cliques needs an even n")
 
 
@@ -69,7 +77,9 @@ class ExperimentConfig:
     """One experiment: an instance family plus extraction knobs.
 
     ``graph_seed`` defaults to ``master_seed`` for the seeded families, so a
-    single integer pins the whole run.
+    single integer pins the whole run.  :meth:`family_params` and
+    :meth:`total_vertices` never raise: a config built with a malformed field
+    still renders as an error row, with the cell it cannot derive left empty.
     """
 
     family: str
@@ -89,17 +99,19 @@ class ExperimentConfig:
         return self.master_seed if self.graph_seed is None else self.graph_seed
 
     def family_params(self) -> str:
-        if self.family == "two-cliques" and self.n is not None:
-            return f"s={self.n // 2}"
+        if self.family == "two-cliques":
+            n = _integers([self.n])
+            return f"s={n[0] // 2}" if n else ""
         if self.family == "rtf":
             return f"seed={self.effective_graph_seed()}"
-        if self.family == "c5" and self.parts is not None:
+        if self.family == "c5" and isinstance(self.parts, (tuple, list)):
             return "parts=" + ",".join(str(p) for p in self.parts)
         return ""
 
     def total_vertices(self) -> int | None:
         if self.family == "c5":
-            return sum(self.parts) if self.parts is not None else None
+            sizes = _integers(self.parts)
+            return sum(sizes) if sizes is not None else None
         return self.n
 
     def build_graph(self) -> Graph:
@@ -165,13 +177,11 @@ def _attempt(fn, *args):
 
 
 def _graph_key(cfg: ExperimentConfig) -> str:
-    """What :func:`build_family` reads of ``cfg`` (rtf: ``n`` and the seed; c5: ``parts``;
-    else ``n``); equal keys name one graph.  ``repr`` is hashable whatever the fields
-    hold and keeps ``1600`` apart from ``1600.0``, so only agreeing builds are shared."""
-    if cfg.family not in FAMILIES:  # validation refuses it; key on every field
-        return repr((cfg.family, cfg.n, cfg.parts, cfg.effective_graph_seed()))
-    reads = {"rtf": (cfg.n, cfg.effective_graph_seed()), "c5": cfg.parts}
-    return repr((cfg.family, reads.get(cfg.family, cfg.n)))
+    """:func:`build_family`'s arguments for ``cfg``, the seed for rtf alone (the build refuses
+    the size field a family does not read); equal keys name one graph.  ``repr`` is hashable
+    whatever the fields hold and keeps ``1600`` apart from ``1600.0``."""
+    seed = cfg.effective_graph_seed() if cfg.family == "rtf" else None
+    return repr((cfg.family, cfg.n, cfg.parts, seed))
 
 
 def _run_group(configs: list) -> list:

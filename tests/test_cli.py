@@ -123,6 +123,12 @@ class TestOracle:
         assert code == 2
         assert "--t" in err
 
+    def test_audit_needs_t(self, tmp_path, capsys):
+        path = self.graph_file(tmp_path, two_cliques(5))
+        code, out, err = run_cli(capsys, "oracle", "--graph", path, "--op", "audit")
+        assert code == 2 and out == ""
+        assert "audit needs --t" in err
+
     def test_audit(self, tmp_path, capsys):
         path = self.graph_file(tmp_path, two_cliques(5))
         _, out, _ = run_cli(capsys, "oracle", "--graph", path, "--op", "audit", "--t", "3")

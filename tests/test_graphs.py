@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -81,7 +83,7 @@ class TestGraphFromRows:
             Graph((0b1,))
 
     def test_odd_popcount_rejected(self):
-        with pytest.raises(ValueError, match="odd total popcount"):
+        with pytest.raises(ValueError, match="row 0 has bit 1, row 1 lacks bit 0"):
             Graph((0b10, 0))
 
     def test_asymmetric_even_popcount_rejected(self):
@@ -105,6 +107,48 @@ class TestGraphFromRows:
         rows[w] ^= 1 << x
         with pytest.raises(ValueError, match="rows are not symmetric"):
             Graph(tuple(rows))
+
+    @pytest.mark.parametrize("u, v", [(300, 550), (520, 7), (599, 598)])
+    def test_one_way_pair_in_a_later_band_is_named(self, u, v):
+        # the check runs in bands of 256 rows; the pair sits past the first band
+        rows = list(complete_graph(600).rows)
+        rows[v] ^= 1 << u
+        with pytest.raises(ValueError, match=f"row {u} has bit {v}, row {v} lacks bit {u}$"):
+            Graph(tuple(rows))
+
+    def test_banded_check_reports_the_first_one_way_pair(self):
+        # the first pair in row-major order, as a check of the whole matrix reports it
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(2, 700))
+            upper = np.triu(rng.random((n, n)) < 0.3, 1)
+            bits = upper | upper.T
+            for u, v in rng.integers(0, n, (3, 2)).tolist():
+                bits[u, v] ^= u != v
+            one_way = np.argwhere(bits > bits.T)
+            rows = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                         for row in bits)
+            if not len(one_way):
+                assert Graph(rows).m == int(bits.sum()) // 2
+                continue
+            u, v = one_way[0].tolist()
+            with pytest.raises(ValueError, match=f"row {u} has bit {v}, row {v} lacks bit {u}$"):
+                Graph(rows)
+
+    def test_symmetry_check_memory_is_banded(self):
+        # an n x n bit matrix would hold 16 MiB at n = 4096 on its own
+        rows = complete_graph(4096).rows
+        tracemalloc.start()
+        try:
+            Graph(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_vertex_cap(self):
+        with pytest.raises(ValueError, match=r"vertex count 65537 outside \[0, 65536\]"):
+            Graph((0,) * (MAX_VERTICES + 1))
 
     def test_top_vertex_accepted(self):
         g = Graph(tuple([1 << 8] + [0] * 7 + [1]))

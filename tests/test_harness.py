@@ -204,6 +204,33 @@ class TestSweep:
         rows = parse_csv(render_csv(sweep_results([bad, self.small_grid()[0]])))
         assert [row["error"] for row in rows] == [f"ValueError: {message}", ""]
 
+    @pytest.mark.parametrize("family, field, value, error, params, n", [
+        pytest.param("two-cliques", "n", "80", "ValueError: n '80' is not an integer", "", "80",
+                     id="two-cliques-str-n"),
+        pytest.param("two-cliques", "n", 80.0, "ValueError: n 80.0 is not an integer", "",
+                     "80.0", id="two-cliques-float-n"),
+        pytest.param("c5", "parts", ("a", 1, 1, 1, 1),
+                     "ValueError: part size 'a' is not an integer", "parts=a,1,1,1,1", "",
+                     id="c5-str-part"),
+        pytest.param("c5", "parts", 5, "TypeError: 'int' object is not iterable", "", "",
+                     id="c5-int-parts"),
+    ])
+    def test_malformed_config_built_directly_renders(self, family, field, value, error,
+                                                     params, n):
+        # configs from files are type-checked when parsed; one built directly is not,
+        # and an s= or vertex sum it would derive from a non-integer is left empty
+        bad = ExperimentConfig(family=family, c=8.0, t=5, trials=2, master_seed=1,
+                               **{field: value})
+        valid = self.small_grid()[0]
+        results = sweep_results([bad, valid])
+        rows = parse_csv(render_csv(results))
+        assert [row["error"] for row in rows] == [error, ""]
+        assert (rows[0]["params"], rows[0]["n"]) == (params, n)
+        assert json.loads(render_json(results))[0]["error"] == error
+        alone = sweep_results([valid])
+        assert render_csv(results).splitlines()[2] == render_csv(alone).splitlines()[1]
+        assert json.loads(render_json(results))[1] == json.loads(render_json(alone))[0]
+
     def test_reproducible_bytes(self):
         grid = self.small_grid()
         assert render_csv(sweep_results(grid)) == render_csv(sweep_results(grid))

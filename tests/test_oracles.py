@@ -8,12 +8,12 @@ import pytest
 from densematch import (Matching, c5_blowup_complement, clique_bound_audit, clique_number,
                         complement_of_random_triangle_free, complete_graph,
                         connected_matching_number,
-                        count_bad_quadruples, matching_from_clique,
+                        count_bad_quadruples, is_alpha_at_most_2, matching_from_clique,
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
 from densematch.errors import InfeasibleError, SizeLimitError
 from densematch import oracles
 from densematch.graphs import Graph, complement, from_edge_list
-from densematch.oracles import _compatibility_rows, _incidence_masks, validate_matching
+from densematch.oracles import BadQuadrupleCount, _compatibility_rows, _incidence_masks, validate_matching
 from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
                      compatibility_rows_pairwise, count_bad_quadruples_enumerated,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
@@ -153,6 +153,9 @@ class TestBadQuadruples:
         # b = 4 complement edges, delta = 1 so k = 3: bound 2*4*(3-1)^2
         assert result.bound == 32
 
+    def test_empty_graph(self):
+        assert count_bad_quadruples(Graph(())) == BadQuadrupleCount(0, 0)
+
     def test_count_is_multiple_of_eight(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -254,6 +257,10 @@ class TestConnectedMatchingNumber:
 
     def test_edgeless(self):
         assert connected_matching_number(from_edge_list(5, [])) == 0
+
+    def test_c5_blowup_searched_in_degree_sum_order(self):
+        # about a millisecond in degree-sum order; minutes in lexicographic order
+        assert connected_matching_number(c5_blowup_complement([5, 10, 2, 5, 2])) == 12
 
     def test_agrees_with_matching_enumeration(self):
         rng = np.random.default_rng(10)
@@ -412,6 +419,10 @@ class TestMatchingFromClique:
         g = from_edge_list(3, [(1, 2)])
         assert matching_from_clique(g, [0]).size == 0
 
+    def test_vertex_outside_graph_rejected(self):
+        with pytest.raises(ValueError, match=r"vertex 16 outside 0\.\.15"):
+            matching_from_clique(complete_graph(16), [3, 16])
+
     def test_non_clique_rejected(self):
         with pytest.raises(ValueError, match="not a clique"):
             matching_from_clique(two_cliques(5), [0, 5])
@@ -452,6 +463,17 @@ class TestCliqueBoundAudit:
             g = random_alpha2_graph(i, n_max=14)
             for t in range(1, g.n // 2 + 2):
                 assert clique_bound_audit(g, t)
+
+    def test_seeded_scan_at_orders_20_to_24(self):
+        # the Füredi–Gyárfás–Simonyi inequality cm >= floor((n + 1) / 4) on every
+        # graph with alpha = 2 among the first 400 instances of the stream
+        audited = 0
+        for i in range(400):
+            g = random_alpha2_graph(i, 20, 24)
+            if is_alpha_at_most_2(g) and g.m < g.n * (g.n - 1) // 2:
+                assert clique_bound_audit(g, (g.n + 1) // 4), g.rows
+                audited += 1
+        assert audited == 300
 
     def test_two_clique_boundary(self):
         for t in range(1, 5):
