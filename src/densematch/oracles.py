@@ -7,9 +7,24 @@ connected-matching numbers and small-graph audits are exhaustive or
 branch-and-bound grade, for desk-scale verification, under default size
 limits that keep each to a few seconds; pass ``limit`` to override.
 
-The exact search's edge tables do not depend on ``t``, so they are built
-once per graph and then memoised, for as long as the graph lives; equal
-graphs share them, as they are pure functions of the rows.
+The two exact edge searches' tables do not depend on ``t`` or the cap, so
+they are built once per graph and then memoised in one weak-key memo, for as
+long as the graph lives; equal graphs share them, as they are pure functions
+of the rows.  Each search keeps its own edge order.
+
+The exact minimum search skips matchings that a swap of twins maps to an
+earlier one.  Twins are vertices with ``N[x] = N[y]`` or ``N(x) = N(y)``;
+swapping two of them maps matchings to matchings of the same score.  A pick
+of edge ``uv``, ``u < v``, is skipped when it breaks either rule:
+
+1. every twin of ``u`` or ``v`` below ``u`` is already matched, so the
+   matched vertices of each twin class form a prefix of it;
+2. twins ``x < y`` matched, not to each other, have partners in the same
+   order.
+
+A matching that breaks a rule becomes strictly earlier in lexicographic
+order under a swap, so the first optimum in that order, the one the search
+returns on ties, keeps both rules at every pick and is still returned.
 """
 
 import weakref
@@ -26,11 +41,23 @@ OMEGA_LIMIT = 40
 MINMATCH_LIMIT = 14
 
 
-# min_nonadjacent_matching's (edges, compat, ends, touch) tables per graph,
-# with weak keys, so an entry lives as long as its graph.  The search reads
-# it only after its own argument checks, so a refused call stores nothing;
-# two threads that miss at once only build the same tables twice.
+# the exact edge searches' tables per graph, keyed by the function that
+# builds them, with weak keys, so an entry lives as long as its graph.  A
+# search reads it only after its own argument checks, so a refused call
+# stores nothing; two threads that miss at once only build the same tables
+# twice.
 _SEARCH = weakref.WeakKeyDictionary()
+
+
+def _tables_of(g: Graph, build):
+    """``build(g)``, built on the first call for ``g`` and kept in ``_SEARCH``."""
+    entry = _SEARCH.get(g)
+    if entry is None:
+        entry = _SEARCH[g] = {}
+    tables = entry.get(build)
+    if tables is None:
+        tables = entry[build] = build(g)
+    return tables
 
 
 def validate_matching(g: Graph, m: Matching) -> np.ndarray:
@@ -182,11 +209,23 @@ def _compatibility_rows(g: Graph, edges, incident) -> list[int]:
     ``u`` or ``v`` themselves, so the rows cost ``O(E)`` big-int ORs
     instead of ``O(E**2)`` pair tests.
     """
-    near = [0] * g.n
-    for w, row in enumerate(g.rows):
-        for x in iter_bits(row):
-            near[w] |= incident[x]
+    near = []
+    for row in g.rows:
+        acc = 0
+        while row:  # iter_bits inlined: this loop is most of the table build
+            low = row & -row
+            acc |= incident[low.bit_length() - 1]
+            row ^= low
+        near.append(acc)
     return [(near[u] | near[v]) & ~(incident[u] | incident[v]) for u, v in edges]
+
+
+def _degree_sum_tables(g: Graph):
+    """:func:`_connected_matching`'s tables: the edge count and the compatibility
+    rows of the edges in degree-sum order (descending)."""
+    deg = [row.bit_count() for row in g.rows]
+    edges = sorted(g.edges(), key=lambda e: -(deg[e[0]] + deg[e[1]]))
+    return len(edges), _compatibility_rows(g, edges, _incidence_masks(g.n, edges))
 
 
 def _connected_matching(g: Graph, cap: int, limit: int = CM_LIMIT) -> int:
@@ -200,18 +239,94 @@ def _connected_matching(g: Graph, cap: int, limit: int = CM_LIMIT) -> int:
     that order, ``cm`` of ``c5_blowup_complement([5, 10, 2, 5, 2])`` takes
     about two minutes instead of about a millisecond.  Neither order wins
     everywhere: ``[5, 1, 4, 8, 6]`` takes about 5 s in this one and 0.4 s in
-    lexicographic order.
+    lexicographic order.  The ordered rows do not depend on ``cap``; they
+    are built once per graph.
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
-    deg = [row.bit_count() for row in g.rows]
-    edges = sorted(g.edges(), key=lambda e: -(deg[e[0]] + deg[e[1]]))
-    return _max_clique(len(edges), _compatibility_rows(g, edges, _incidence_masks(g.n, edges)), cap)
+    size, rows = _tables_of(g, _degree_sum_tables)
+    return _max_clique(size, rows, cap)
 
 
 def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
     """Largest size of a matching whose edge pairs are all endpoint-adjacent."""
     return _connected_matching(g, g.n // 2, limit)  # no matching is bigger
+
+
+def _twin_masks(g: Graph) -> list[int]:
+    """``twins[v]`` is the bitmask of the other vertices of ``v``'s twin class.
+
+    ``x`` and ``y`` are twins when ``N[x] = N[y]`` (true twins) or
+    ``N(x) = N(y)`` (false twins).  No vertex has twins of both kinds: with
+    ``N[x] = N[y]`` and ``N(x) = N(z)``, ``z`` would be a neighbour of ``y``
+    but not of ``x``.  So the classes split the vertices, and swapping two
+    vertices of a class maps the graph onto itself.
+    """
+    classes: dict[int, int] = {}
+    for v, row in enumerate(g.rows):
+        for key in (row, row | 1 << v):  # N(v) and N[v]; no N(x) equals an N[y]
+            classes[key] = classes.get(key, 0) | 1 << v
+    return [(classes[row] | classes[row | 1 << v]) ^ 1 << v for v, row in enumerate(g.rows)]
+
+
+def _twin_rules(g: Graph, edges, incident) -> tuple[list[int], list[int]]:
+    """Per edge ``ab`` (``a < b``) of the sorted ``edges``, the edges that rule 2
+    of :func:`min_nonadjacent_matching` bans beside it, and the vertices that
+    rule 1 needs matched before it: the twins of ``a`` or ``b`` below ``a``.
+
+    A later edge ``cd`` disjoint from ``ab`` has ``a < c < d``.  It breaks
+    rule 2 beside ``ab`` exactly when it has an end among the twins of ``b``
+    below ``b`` (whose partner is above ``a``, the partner of ``b``), or an
+    end among the twins of ``a`` whose other end lies between ``a`` and ``b``
+    (a partner below ``b``, the partner of ``a``).  The edges are sorted by
+    smaller end, so the row ``below[b] | spread[a] & under[b] | tail[a] &
+    before[b]`` holds those edges, from per-vertex masks of edges:
+
+    - ``below[b]``: at twins of ``b`` below ``b``;
+    - ``spread[a]``: at ``a``'s class; ``under[b]``: both ends below ``b``;
+    - ``tail[a]``: larger end in ``a``'s class; ``before[b]``: smaller end
+      below ``b``.
+
+    The rest of a row is edges at ``a`` or ``b`` or before ``ab``, which no
+    pick after ``ab`` meets.  A twin-free graph has empty rows.
+    """
+    n = g.n
+    twins = _twin_masks(g)
+    if not any(twins):
+        return [0] * len(edges), [0] * len(edges)
+    before, under, count = [0], [0], 0  # edges whose smaller end, or both ends, are below k
+    for k, row in enumerate(g.rows):
+        count += (row >> k + 1).bit_count()
+        before.append((1 << count) - 1)
+        under.append(under[k] | incident[k] & before[k])
+    below, spread, tail = [0] * n, [0] * n, [0] * n
+    for v in range(n):
+        if twins[v] and not twins[v] & ((1 << v) - 1):  # the least vertex of a class
+            members = list(iter_bits(twins[v] | 1 << v))
+            at = high = 0
+            for x in members:
+                below[x] = at
+                at |= incident[x]
+                high |= incident[x] & before[x]
+            for x in members:
+                spread[x], tail[x] = at, high
+    bans = [below[b] | spread[a] & under[b] | tail[a] & before[b] for a, b in edges]
+    need = [(twins[a] | twins[b]) & ((1 << a) - 1) for a, b in edges]
+    return bans, need
+
+
+def _lexicographic_tables(g: Graph):
+    """:func:`min_nonadjacent_matching`'s tables, over the sorted edge list:
+    the edges, their compatibility rows, their end masks, ``touch`` (the edges
+    that picking one rules out: itself, the edges sharing an end, and its rule 2
+    bans) and ``need`` (the twins below the smaller end that rule 1 wants
+    matched first)."""
+    edges = list(g.edges())
+    incident = _incidence_masks(g.n, edges)
+    bans, need = _twin_rules(g, edges, incident)
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    touch = [incident[u] | incident[v] | ban for (u, v), ban in zip(edges, bans)]
+    return edges, _compatibility_rows(g, edges, incident), ends, touch, need
 
 
 def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
@@ -223,8 +338,27 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
     to the score.  A leaf is recorded only when its score is strictly below
     the incumbent's, so on ties the first optimum in that order is returned.
 
+    Twins (``N[x] = N[y]`` or ``N(x) = N(y)``, see :func:`_twin_masks`) can
+    be swapped without changing any score, so the search skips a pick of
+    edge ``uv``, ``u < v``, that breaks either rule:
+
+    1. every twin of ``u`` or ``v`` below ``u`` must already be matched, so
+       the matched vertices of each class form a prefix of the class;
+    2. twins ``x < y`` that are both matched, not to each other, must have
+       partners in the same order, ``partner(x) < partner(y)``.
+
+    A broken rule 2 stays broken as picks are added, so its bans
+    (:func:`_twin_rules`) leave the candidate set at the pick; rule 1 is
+    tested at each pick.  Neither changes the answer.  A matching that
+    breaks rule 1, with ``w`` unmatched below a matched twin, becomes
+    strictly earlier in lexicographic order when the two swap; one that
+    breaks rule 2 does when ``x`` and ``y`` swap.  So the first optimum
+    ``M*`` keeps both rules, and each prefix of it passes both tests at its
+    picks.
+
     Each node with ``r`` edges still to pick looks at its candidates, the
-    later edges disjoint from the picked ones, and prunes its subtree when
+    later edges disjoint from the picked ones and not banned by rule 2, and
+    prunes its subtree when
 
     - there are fewer than ``r`` of them, or their ends cover fewer than
       ``2r`` vertices, so no leaf lies below; or
@@ -233,44 +367,33 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
       amount at this node, since the edges picked in between can only raise
       its count of incompatible picked edges, so this bounds every leaf below.
 
-    A pruned subtree holds no leaf strictly below the incumbent, so the
-    search records the same leaves in the same order as the unpruned one and
-    returns the same matching.  The edge list and its bit tables do not
-    depend on ``t``; they are built once per graph.  They are not shared with
-    :func:`_connected_matching`: its degree-sum order would change which
-    optimum a tie returns, and on the benchmark's small α ≤ 2 graphs it made
-    this search 20-60% slower.
+    These bounds cover every leaf below that keeps rule 2, ``M*`` among
+    them, and every leaf before ``M*`` scores above it, so no pruning
+    removes ``M*``: the search returns the same matching as the unpruned
+    one.  The edge
+    list and its bit tables do not depend on ``t``; they are built once per
+    graph.  They are not shared with :func:`_connected_matching`: its
+    degree-sum order would change which optimum a tie returns, and on the
+    benchmark's small α ≤ 2 graphs it made this search 20-60% slower.
     """
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
     t = _as_int("t", t, 1)
-    tables = _SEARCH.get(g)
-    if tables is None:
-        edges = list(g.edges())
-        incident = _incidence_masks(g.n, edges)
-        ends = [(1 << u) | (1 << v) for u, v in edges]
-        # the edges that picking edge i rules out, itself included
-        touch = [incident[u] | incident[v] for u, v in edges]
-        tables = _SEARCH[g] = (edges, _compatibility_rows(g, edges, incident), ends, touch)
-    edges, compat, ends, touch = tables
+    edges, compat, ends, touch, need = _tables_of(g, _lexicographic_tables)
     best_count: int | None = None
     best_picked = 0
 
-    def dfs(start: int, size: int, free: int, picked: int, cost: int):
+    def dfs(start: int, size: int, free: int, picked: int, cost: int, unmatched: int):
         nonlocal best_count, best_picked
         if size == t:
             best_count, best_picked = cost, picked
             return
         r = t - size
-        cand = free >> start << start
-        order: list[int] = []
+        # the set bits of free from start up; bin() lists them faster than peeling bits
+        order = [j for j, bit in enumerate(bin(free >> start)[:1:-1], start) if bit == "1"]
         adds: list[int] = []
         cover = 0
-        while cand:
-            low = cand & -cand
-            j = low.bit_length() - 1
-            cand ^= low
-            order.append(j)
+        for j in order:
             adds.append(size - (compat[j] & picked).bit_count())
             cover |= ends[j]
         if len(order) < r or cover.bit_count() < 2 * r:
@@ -282,11 +405,13 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
             if best_count is not None and added >= best_count:
                 continue
             i = order[k]
-            dfs(i + 1, size + 1, free & ~touch[i], picked | 1 << i, added)
+            if need[i] & unmatched:  # rule 1
+                continue
+            dfs(i + 1, size + 1, free & ~touch[i], picked | 1 << i, added, unmatched & ~ends[i])
             if best_count == 0:
                 return
 
-    dfs(0, 0, (1 << len(edges)) - 1, 0, 0)
+    dfs(0, 0, (1 << len(edges)) - 1, 0, 0, (1 << g.n) - 1)
     if best_count is None:
         raise InfeasibleError(f"graph has no matching of size {t}")
     return Matching(edges[i] for i in iter_bits(best_picked)), best_count

@@ -229,6 +229,63 @@ def min_nonadjacent_matching_plain(g: Graph, t: int) -> tuple[Matching, int]:
     return Matching(edges[i] for i in range(len(edges)) if best_picked >> i & 1), best_count
 
 
+def twin_masks_pairwise(g: Graph) -> list[int]:
+    """Bit ``u`` of entry ``v`` is set when ``u != v`` and ``N[u] = N[v]`` or
+    ``N(u) = N(v)``, tested pair by pair on neighbour sets."""
+    def open_nbhd(v):
+        return {u for u in range(g.n) if g.has_edge(u, v)}
+
+    masks = [0] * g.n
+    for u, v in itertools.combinations(range(g.n), 2):
+        if open_nbhd(u) == open_nbhd(v) or open_nbhd(u) | {u} == open_nbhd(v) | {v}:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
+
+
+def swap_rule_conflicts_pairwise(g: Graph, edges) -> list[int]:
+    """Bit ``j`` of row ``i`` is set when edges ``i`` and ``j`` are disjoint and
+    some twins ``x < y``, one in each, have partners in the opposite order."""
+    twins = twin_masks_pairwise(g)
+    rows = [0] * len(edges)
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        partner = {}
+        for a, b in (edges[i], edges[j]):
+            partner[a], partner[b] = b, a
+        if len(partner) < 4:
+            continue
+        for x in edges[i]:
+            for y in edges[j]:
+                lo, hi = min(x, y), max(x, y)
+                if twins[x] >> y & 1 and partner[lo] > partner[hi]:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+    return rows
+
+
+def with_twins(g: Graph, kinds, rng: np.random.Generator) -> Graph:
+    """``g`` with one new vertex per entry of ``kinds``, each a twin of a random
+    vertex, then with its vertices shuffled.
+
+    A ``"true"`` twin copies the closed neighbourhood.  A ``"false"`` twin
+    copies the open one after its vertex is joined to every other vertex, so
+    an independence number of at most 2 survives either kind.
+    """
+    rows = list(g.rows)
+    for kind in kinds:
+        n = len(rows)
+        v = int(rng.integers(n))
+        if kind == "false":
+            rows = [row | 1 << v for row in rows]
+            rows[v] = ((1 << n) - 1) ^ 1 << v
+        copy = rows[v] | 1 << v if kind == "true" else rows[v]
+        rows = [row | (copy >> x & 1) << n for x, row in enumerate(rows)] + [copy]
+    order = rng.permutation(len(rows)).tolist()
+    edges = [(order[x], order[y]) for x in range(len(rows)) for y in range(x + 1, len(rows))
+             if rows[x] >> y & 1]
+    return from_edge_list(len(rows), edges)
+
+
 def count_nonadjacent_pairs_naive(g: Graph, edges) -> int:
     """Four-cross-pair scan over an edge collection (no bitsets)."""
     total = 0

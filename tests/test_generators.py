@@ -149,6 +149,8 @@ class TestIntegerArguments:
                      "part size True is not an integer", id="c5-part-bool"),
         pytest.param(lambda: c5_blowup_complement((1, 1, 0, 1, 1)),
                      r"part size must be at least 1 \(got 0\)", id="c5-part-zero"),
+        pytest.param(lambda: c5_blowup_complement(5), "part sizes 5 are not a sequence",
+                     id="c5-parts-int"),
         pytest.param(lambda: complement_of_random_triangle_free(True, 1),
                      "n True is not an integer", id="rtf-n-bool"),
         pytest.param(lambda: complement_of_random_triangle_free(10, True),

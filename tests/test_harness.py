@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -38,7 +39,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -212,7 +213,7 @@ class TestSweep:
         pytest.param("c5", "parts", ("a", 1, 1, 1, 1),
                      "ValueError: part size 'a' is not an integer", "parts=a,1,1,1,1", "",
                      id="c5-str-part"),
-        pytest.param("c5", "parts", 5, "TypeError: 'int' object is not iterable", "", "",
+        pytest.param("c5", "parts", 5, "ValueError: part sizes 5 are not a sequence", "", "",
                      id="c5-int-parts"),
     ])
     def test_malformed_config_built_directly_renders(self, family, field, value, error,

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
@@ -19,7 +20,8 @@ from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      greedy_clique, min_nonadjacent_matching_plain,
                      random_alpha2_graph, random_graph, random_matching_of,
-                     validate_matching_reference)
+                     swap_rule_conflicts_pairwise, twin_masks_pairwise,
+                     validate_matching_reference, with_twins)
 
 
 def _error(check, g, m):
@@ -348,6 +350,19 @@ class TestMinNonadjacentMatching:
                     continue
                 assert min_nonadjacent_matching(g, t) == expected
 
+    def test_twin_pruned_search_agrees_on_twin_rich_graphs(self):
+        # swapping twins never changes a score, so these graphs tie often; the
+        # twin rules must keep the first optimum the plain search returns
+        for g in _twin_rich_graphs():
+            for t in range(1, g.n // 2 + 2):
+                try:
+                    expected = min_nonadjacent_matching_plain(g, t)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        min_nonadjacent_matching(g, t)
+                    continue
+                assert min_nonadjacent_matching(g, t) == expected, (g.rows, t)
+
     def test_golden_output(self):
         # pins which optimal matching is returned on ties, not only its count
         graphs = [random_alpha2_graph(i, 6, 12) for i in range(60)]
@@ -399,6 +414,76 @@ class TestMinNonadjacentMatching:
                 == min_nonadjacent_matching(g, 2))
         assert clique_number(g, limit=np.int64(10)) == clique_number(g)
         assert clique_bound_audit(g, np.int64(2)) == clique_bound_audit(g, 2)
+
+
+def _twin_rich_graphs():
+    """Every c5 mix with parts in {1, 2, 3} and n <= 12, two_cliques(2..6),
+    complete_graph(2..12), and seeded α ≤ 2 graphs with planted true and false twins."""
+    graphs = [c5_blowup_complement(parts) for parts in itertools.product((1, 2, 3), repeat=5)
+              if sum(parts) <= 12]
+    graphs += [two_cliques(s) for s in range(2, 7)]
+    graphs += [complete_graph(n) for n in range(2, 13)]
+    for i in range(30):
+        rng = np.random.default_rng(2100 + i)
+        kinds = ["true", "false"] + rng.choice(["true", "false"], int(rng.integers(0, 3))).tolist()
+        graphs.append(with_twins(random_alpha2_graph(i, 4, 8), kinds, rng))
+    return graphs
+
+
+class TestTwinClasses:
+    def test_true_twins(self):
+        assert oracles._twin_masks(complete_graph(4)) == [0b1110, 0b1101, 0b1011, 0b0111]
+        assert oracles._twin_masks(two_cliques(2)) == [0b0010, 0b0001, 0b1000, 0b0100]
+
+    def test_false_twins(self):
+        # the ends of a path 0 - 1 - 2 share their one neighbour and are not adjacent
+        assert oracles._twin_masks(from_edge_list(3, [(0, 1), (1, 2)])) == [0b100, 0, 0b001]
+        # the sides of a complete bipartite graph
+        k23 = from_edge_list(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+        assert oracles._twin_masks(k23) == [0b00010, 0b00001, 0b11000, 0b10100, 0b01100]
+
+    def test_twin_free_graph_has_singleton_classes(self):
+        for g in (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), c5_blowup_complement([1] * 5),
+                  from_edge_list(1, [])):
+            assert oracles._twin_masks(g) == [0] * g.n
+
+    def test_c5_blowup_parts_are_the_classes(self):
+        for parts in itertools.product((1, 2, 3), repeat=5):
+            expected, start = [], 0
+            for size in parts:
+                part = ((1 << size) - 1) << start
+                expected += [part ^ 1 << v for v in range(start, start + size)]
+                start += size
+            assert oracles._twin_masks(c5_blowup_complement(parts)) == expected, parts
+
+    def test_matches_pairwise_reference(self):
+        graphs = _twin_rich_graphs()
+        for i in range(40):
+            rng = np.random.default_rng(i)
+            base = random_graph(int(rng.integers(1, 8)), float(rng.uniform(0.1, 0.9)), rng)
+            graphs.append(with_twins(base, rng.choice(["true", "false"], 3).tolist(), rng))
+        for g in graphs:
+            assert oracles._twin_masks(g) == twin_masks_pairwise(g), g.rows
+
+    def test_planted_twins_keep_alpha_at_most_2(self):
+        for i in range(30):
+            rng = np.random.default_rng(i)
+            g = with_twins(random_alpha2_graph(i, 4, 8), ["true", "false", "false"], rng)
+            assert brute_alpha_at_most_2(g)
+            assert any(oracles._twin_masks(g))
+
+    def test_rule_tables_match_pairwise_reference(self):
+        # a ban row may also hold edges at a or b or before ab, which no later pick meets
+        for g in _twin_rich_graphs()[::3]:
+            edges = list(g.edges())
+            incident = _incidence_masks(g.n, edges)
+            bans, need = oracles._twin_rules(g, edges, incident)
+            conflicts = swap_rule_conflicts_pairwise(g, edges)
+            twins = twin_masks_pairwise(g)
+            for i, (a, b) in enumerate(edges):
+                later = -1 << i + 1 & ~(incident[a] | incident[b])
+                assert bans[i] & later == conflicts[i] & later, (g.rows, i)
+                assert need[i] == (twins[a] | twins[b]) & ((1 << a) - 1), (g.rows, i)
 
 
 class TestMatchingFromClique:
@@ -586,6 +671,20 @@ class TestPerGraphMemo:
             with pytest.raises(InfeasibleError):
                 min_nonadjacent_matching(g, 6)
         assert not _memoised(big)  # refused before the memo is read
+
+    @pytest.mark.parametrize("builder", ["_lexicographic_tables", "_degree_sum_tables"])
+    def test_tables_built_once_per_graph(self, monkeypatch, builder):
+        built = []
+        build = getattr(oracles, builder)
+
+        def counting(g):
+            built.append(g.rows)
+            return build(g)
+
+        monkeypatch.setattr(oracles, builder, counting)
+        g = c5_blowup_complement([3, 3, 3, 3, 2])
+        assert _exact_facts(g, True) == _exact_facts(g, False)
+        assert len(built) == 1
 
     def test_memo_does_not_keep_a_graph_alive(self):
         g = c5_blowup_complement([2, 2, 3, 2, 2])
