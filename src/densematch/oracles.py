@@ -7,24 +7,25 @@ connected-matching numbers and small-graph audits are exhaustive or
 branch-and-bound grade, for desk-scale verification, under default size
 limits that keep each to a few seconds; pass ``limit`` to override.
 
-The two exact edge searches' tables do not depend on ``t`` or the cap, so
-they are built once per graph and then memoised in one weak-key memo, for as
-long as the graph lives; equal graphs share them, as they are pure functions
-of the rows.  Each search keeps its own edge order.
+One exact edge search (:func:`_search`) answers the exact minimum, the
+connected-matching number and the audit.  It finds the first size-``t``
+matching of least score, in the lexicographic order of the sorted edges,
+among those scoring below a cap.  A connected matching is a matching of
+score 0, so the connected-matching oracles ask for a score below 1.  The
+search's tables do not depend on ``t`` or the cap, so they are built once
+per graph and then memoised in one weak-key memo, for as long as the graph
+lives; equal graphs share them, as they are pure functions of the rows.
 
-The exact minimum search skips matchings that a swap of twins maps to an
-earlier one.  Twins are vertices with ``N[x] = N[y]`` or ``N(x) = N(y)``;
-swapping two of them maps matchings to matchings of the same score.  A pick
-of edge ``uv``, ``u < v``, is skipped when it breaks either rule:
-
-1. every twin of ``u`` or ``v`` below ``u`` is already matched, so the
-   matched vertices of each twin class form a prefix of it;
-2. twins ``x < y`` matched, not to each other, have partners in the same
-   order.
-
-A matching that breaks a rule becomes strictly earlier in lexicographic
-order under a swap, so the first optimum in that order, the one the search
-returns on ties, keeps both rules at every pick and is still returned.
+The search skips matchings that a swap of twins (``N[x] = N[y]`` or
+``N(x) = N(y)``) maps to an earlier one of the same score.  At a node with
+zero slack, whose score is one below the incumbent's or the cap, every edge
+still to pick must add 0, so the rest of the matching is a set of pairwise
+compatible edges, each compatible with the picked ones.  There a pick keeps
+only the candidates compatible with it, and once the node's first branch
+has returned without a leaf, a greedy colouring of the candidates stops the
+branching where fewer colours than edges to pick remain.  None of these
+drops the first optimum, so the search returns the matching the unpruned
+one does; :func:`_search` says why.
 """
 
 import weakref
@@ -41,23 +42,11 @@ OMEGA_LIMIT = 40
 MINMATCH_LIMIT = 14
 
 
-# the exact edge searches' tables per graph, keyed by the function that
-# builds them, with weak keys, so an entry lives as long as its graph.  A
-# search reads it only after its own argument checks, so a refused call
-# stores nothing; two threads that miss at once only build the same tables
-# twice.
+# _search's tables (_lexicographic_tables) per graph, with weak keys, so an
+# entry lives as long as its graph.  The search reads it only after its
+# callers' argument checks, so a refused call stores nothing; two threads that
+# miss at once only build the same tables twice.
 _SEARCH = weakref.WeakKeyDictionary()
-
-
-def _tables_of(g: Graph, build):
-    """``build(g)``, built on the first call for ``g`` and kept in ``_SEARCH``."""
-    entry = _SEARCH.get(g)
-    if entry is None:
-        entry = _SEARCH[g] = {}
-    tables = entry.get(build)
-    if tables is None:
-        tables = entry[build] = build(g)
-    return tables
 
 
 def validate_matching(g: Graph, m: Matching) -> np.ndarray:
@@ -140,20 +129,17 @@ def count_bad_quadruples(g: Graph) -> BadQuadrupleCount:
     return BadQuadrupleCount(2 * total, bound)
 
 
-def _max_clique(n: int, rows, cap: int) -> int:
-    """``min(clique number, cap)`` by branch and bound with a greedy colouring bound.
+def _max_clique(n: int, rows) -> int:
+    """Clique number by branch and bound with a greedy colouring bound.
 
     Returns a size only, not a clique.  A clique takes at most one vertex per
     colour class of any proper colouring of the candidate set, so the class
-    index of a vertex bounds every extension through it.  The search stops
-    outright once it finds a clique of at least ``cap`` vertices.
+    index of a vertex bounds every extension through it.
     """
     best = 0
 
     def expand(depth: int, cand: int):
         nonlocal best
-        if best >= cap:
-            return
         order: list[int] = []
         limits: list[int] = []
         colour = 0
@@ -180,14 +166,14 @@ def _max_clique(n: int, rows, cap: int) -> int:
             cand ^= 1 << v
 
     expand(0, (1 << n) - 1)
-    return min(best, cap)
+    return best
 
 
 def clique_number(g: Graph, limit: int = OMEGA_LIMIT) -> int:
     """Exact clique number by bitset branch and bound."""
     if g.n > _as_int("limit", limit):
         raise SizeLimitError(f"graph order {g.n} exceeds clique-number limit {limit}")
-    return _max_clique(g.n, list(g.rows), g.n)
+    return _max_clique(g.n, g.rows)
 
 
 def _incidence_masks(n: int, edges) -> list[int]:
@@ -220,39 +206,6 @@ def _compatibility_rows(g: Graph, edges, incident) -> list[int]:
     return [(near[u] | near[v]) & ~(incident[u] | incident[v]) for u, v in edges]
 
 
-def _degree_sum_tables(g: Graph):
-    """:func:`_connected_matching`'s tables: the edge count and the compatibility
-    rows of the edges in degree-sum order (descending)."""
-    deg = [row.bit_count() for row in g.rows]
-    edges = sorted(g.edges(), key=lambda e: -(deg[e[0]] + deg[e[1]]))
-    return len(edges), _compatibility_rows(g, edges, _incidence_masks(g.n, edges))
-
-
-def _connected_matching(g: Graph, cap: int, limit: int = CM_LIMIT) -> int:
-    """``min(cm, cap)`` for the connected-matching number ``cm`` of ``g``.
-
-    A connected matching is exactly a clique of the edge-compatibility graph,
-    so the clique engine does the search and stops once it finds ``cap``
-    edges.  Candidate edges are ordered by degree sum (descending).  The
-    answer is a size, so the order sets only the speed, and it differs from
-    :func:`min_nonadjacent_matching`'s lexicographic order on purpose: with
-    that order, ``cm`` of ``c5_blowup_complement([5, 10, 2, 5, 2])`` takes
-    about two minutes instead of about a millisecond.  Neither order wins
-    everywhere: ``[5, 1, 4, 8, 6]`` takes about 5 s in this one and 0.4 s in
-    lexicographic order.  The ordered rows do not depend on ``cap``; they
-    are built once per graph.
-    """
-    if g.n > _as_int("limit", limit):
-        raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
-    size, rows = _tables_of(g, _degree_sum_tables)
-    return _max_clique(size, rows, cap)
-
-
-def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
-    """Largest size of a matching whose edge pairs are all endpoint-adjacent."""
-    return _connected_matching(g, g.n // 2, limit)  # no matching is bigger
-
-
 def _twin_masks(g: Graph) -> list[int]:
     """``twins[v]`` is the bitmask of the other vertices of ``v``'s twin class.
 
@@ -271,8 +224,8 @@ def _twin_masks(g: Graph) -> list[int]:
 
 def _twin_rules(g: Graph, edges, incident) -> tuple[list[int], list[int]]:
     """Per edge ``ab`` (``a < b``) of the sorted ``edges``, the edges that rule 2
-    of :func:`min_nonadjacent_matching` bans beside it, and the vertices that
-    rule 1 needs matched before it: the twins of ``a`` or ``b`` below ``a``.
+    of :func:`_search` bans beside it, and the vertices that rule 1 needs
+    matched before it: the twins of ``a`` or ``b`` below ``a``.
 
     A later edge ``cd`` disjoint from ``ab`` has ``a < c < d``.  It breaks
     rule 2 beside ``ab`` exactly when it has an end among the twins of ``b``
@@ -316,11 +269,11 @@ def _twin_rules(g: Graph, edges, incident) -> tuple[list[int], list[int]]:
 
 
 def _lexicographic_tables(g: Graph):
-    """:func:`min_nonadjacent_matching`'s tables, over the sorted edge list:
-    the edges, their compatibility rows, their end masks, ``touch`` (the edges
-    that picking one rules out: itself, the edges sharing an end, and its rule 2
-    bans) and ``need`` (the twins below the smaller end that rule 1 wants
-    matched first)."""
+    """:func:`_search`'s tables, over the sorted edge list: the edges, their
+    compatibility rows, their end masks, ``touch`` (the edges that picking one
+    rules out: itself, the edges sharing an end, and its rule 2 bans) and
+    ``need`` (the twins below the smaller end that rule 1 wants matched
+    first)."""
     edges = list(g.edges())
     incident = _incidence_masks(g.n, edges)
     bans, need = _twin_rules(g, edges, incident)
@@ -329,14 +282,40 @@ def _lexicographic_tables(g: Graph):
     return edges, _compatibility_rows(g, edges, incident), ends, touch, need
 
 
-def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
-    """Exhaustive minimum of ``nonadjacent_pairs`` over all size-``t`` matchings.
+def _colour_reach(order: list[int], adds: list[int], compat) -> list[int]:
+    """``reach[k]``: the colours that a greedy colouring, run from the end,
+    gives the candidates among ``order[k:]`` that add 0 (``adds[k] == 0``).
+
+    A colour class holds pairwise incompatible edges, so a set of pairwise
+    compatible edges takes at most one edge of each class, and at most
+    ``reach[k]`` of them lie in ``order[k:]``.
+    """
+    classes: list[int] = []
+    reach = [0] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        if not adds[k]:
+            j = order[k]
+            for c, members in enumerate(classes):
+                if not compat[j] & members:
+                    classes[c] = members | 1 << j
+                    break
+            else:
+                classes.append(1 << j)
+        reach[k] = len(classes)
+    return reach
+
+
+def _search(g: Graph, t: int, below: int | None) -> tuple[Matching, int] | None:
+    """The first minimum-score size-``t`` matching, with its score, among those
+    whose score (``nonadjacent_pairs``) is below ``below``; None if there is
+    none.  ``below=None`` sets no cap.  ``t`` must be at least 1.
 
     Depth-first over index-increasing choices from the lexicographically
     sorted edge list, keeping the picked edges as one bitmask over it; an
     edge adds the picked edges outside its :func:`_compatibility_rows` row
     to the score.  A leaf is recorded only when its score is strictly below
-    the incumbent's, so on ties the first optimum in that order is returned.
+    the incumbent's (at first ``below``), so on ties the first optimum in
+    that order is returned.
 
     Twins (``N[x] = N[y]`` or ``N(x) = N(y)``, see :func:`_twin_masks`) can
     be swapped without changing any score, so the search skips a pick of
@@ -367,21 +346,27 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
       amount at this node, since the edges picked in between can only raise
       its count of incompatible picked edges, so this bounds every leaf below.
 
-    These bounds cover every leaf below that keeps rule 2, ``M*`` among
-    them, and every leaf before ``M*`` scores above it, so no pruning
-    removes ``M*``: the search returns the same matching as the unpruned
-    one.  The edge
-    list and its bit tables do not depend on ``t``; they are built once per
-    graph.  They are not shared with :func:`_connected_matching`: its
-    degree-sum order would change which optimum a tie returns, and on the
-    benchmark's small α ≤ 2 graphs it made this search 20-60% slower.
+    A node whose score is one below the incumbent has zero slack: a leaf
+    below it is recorded only if every edge still to pick adds 0, so those
+    edges are pairwise compatible and compatible with the picked ones.
+    There a pick's child keeps only the candidates compatible with it, and
+    once the node's first branch has returned without a leaf, branching
+    stops at the first candidate ``k`` from which the zero-add candidates
+    need fewer than ``r`` colours (:func:`_colour_reach`).  The colouring is
+    left until then because a first branch that finds a leaf ends the node.
+
+    These bounds cover every leaf below that keeps rule 2 and scores below
+    the incumbent, ``M*`` among them, and every leaf before ``M*`` scores
+    above it, so no pruning removes ``M*``: the search returns the same
+    matching as the unpruned one.  The edge list and its bit tables do not
+    depend on ``t`` or ``below``; they are built once per graph.
     """
-    if g.n > _as_int("limit", limit):
-        raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
-    t = _as_int("t", t, 1)
-    edges, compat, ends, touch, need = _tables_of(g, _lexicographic_tables)
-    best_count: int | None = None
-    best_picked = 0
+    tables = _SEARCH.get(g)
+    if tables is None:
+        tables = _SEARCH[g] = _lexicographic_tables(g)
+    edges, compat, ends, touch, need = tables
+    best_count = below
+    best_picked = None
 
     def dfs(start: int, size: int, free: int, picked: int, cost: int, unmatched: int):
         nonlocal best_count, best_picked
@@ -400,6 +385,9 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
             return
         if best_count is not None and cost + sum(sorted(adds)[:r]) >= best_count:
             return
+        tight = best_count is not None and cost + 1 >= best_count  # zero slack
+        branched = False
+        reach = None
         for k in range(len(order) - r + 1):
             added = cost + adds[k]
             if best_count is not None and added >= best_count:
@@ -407,14 +395,55 @@ def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> t
             i = order[k]
             if need[i] & unmatched:  # rule 1
                 continue
-            dfs(i + 1, size + 1, free & ~touch[i], picked | 1 << i, added, unmatched & ~ends[i])
+            child = free & ~touch[i]
+            if tight:
+                if branched:
+                    if reach is None:
+                        reach = _colour_reach(order, adds, compat)
+                    if reach[k] < r:
+                        return
+                child &= compat[i]
+            dfs(i + 1, size + 1, child, picked | 1 << i, added, unmatched & ~ends[i])
             if best_count == 0:
                 return
+            branched = True
 
     dfs(0, 0, (1 << len(edges)) - 1, 0, 0, (1 << g.n) - 1)
-    if best_count is None:
-        raise InfeasibleError(f"graph has no matching of size {t}")
+    if best_picked is None:
+        return None
     return Matching(edges[i] for i in iter_bits(best_picked)), best_count
+
+
+def min_nonadjacent_matching(g: Graph, t: int, limit: int = MINMATCH_LIMIT) -> tuple[Matching, int]:
+    """Exhaustive minimum of ``nonadjacent_pairs`` over all size-``t`` matchings.
+
+    Returns the first optimum in the lexicographic order of the sorted edge
+    list, by :func:`_search` with no cap; raises InfeasibleError when the
+    graph has no matching of size ``t``.
+    """
+    if g.n > _as_int("limit", limit):
+        raise SizeLimitError(f"graph order {g.n} exceeds exact-minimum limit {limit}")
+    t = _as_int("t", t, 1)
+    found = _search(g, t, None)
+    if found is None:
+        raise InfeasibleError(f"graph has no matching of size {t}")
+    return found
+
+
+def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
+    """Largest size of a matching whose edge pairs are all endpoint-adjacent.
+
+    Such a matching is one of score 0, so :func:`_search` with cap 1 asks
+    for one of each size ``s = 1, 2, ...`` in turn.  A connected matching
+    of size ``s`` holds one of size ``s - 1``, so the first size it finds
+    none of is ``cm + 1``; no matching has more than ``n // 2`` edges.
+    """
+    if g.n > _as_int("limit", limit):
+        raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {limit}")
+    cm = 0
+    while cm < g.n // 2 and _search(g, cm + 1, 1) is not None:
+        cm += 1
+    return cm
 
 
 def _max_bipartite_matching(g: Graph, left, right) -> dict[int, int]:
@@ -473,7 +502,8 @@ def clique_bound_audit(g: Graph, t: int) -> bool:
     Hadwiger's conjecture", CPC 2005) says every graph with independence
     number at most 2 on ``n >= 4t - 1`` vertices has one, so that
     ``cm >= floor((n + 1) / 4)``.  Asked only when the independence number is
-    exactly 2 and ``n >= 4t - 1``, by a search that stops at ``t`` edges; True
+    exactly 2 and ``n >= 4t - 1``, by :func:`_search` for a size-``t``
+    matching of score 0, under the connected-matching size limit; True
     elsewhere (vacuous).  A False would be a counterexample to the
     conjecture.  The name is kept because the benchmark wraps it.
     """
@@ -481,4 +511,6 @@ def clique_bound_audit(g: Graph, t: int) -> bool:
     alpha_is_two = is_alpha_at_most_2(g) and g.m < g.n * (g.n - 1) // 2
     if not alpha_is_two or g.n < 4 * t - 1:
         return True
-    return _connected_matching(g, t) >= t
+    if g.n > CM_LIMIT:
+        raise SizeLimitError(f"graph order {g.n} exceeds connected-matching limit {CM_LIMIT}")
+    return _search(g, t, 1) is not None

@@ -195,6 +195,47 @@ def compatibility_rows_pairwise(g: Graph, edges) -> list[int]:
     return compat
 
 
+def connected_matching_number_by_cliques(g: Graph) -> int:
+    """Connected-matching number as the clique number of the edge-compatibility
+    graph, whose vertices are the edges in degree-sum order (descending).
+
+    Branch and bound with a greedy colouring bound: a clique takes at most one
+    vertex per colour class, so the class index of a vertex bounds every
+    extension through it.  It stops at ``n // 2`` edges, as no matching is
+    bigger.  It shares neither the edge order nor the bounds of the exact
+    minimum search.
+    """
+    edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+    rows = compatibility_rows_pairwise(g, edges)
+    best = 0
+
+    def expand(depth, cand):
+        nonlocal best
+        if best >= g.n // 2:
+            return
+        order, limits, colour, rest = [], [], 0, cand
+        while rest:
+            colour += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~(1 << v) & ~rows[v]
+                rest &= ~(1 << v)
+                order.append(v)
+                limits.append(colour)
+        for i in range(len(order) - 1, -1, -1):
+            if depth + limits[i] <= best:
+                return
+            v = order[i]
+            if cand & rows[v]:
+                expand(depth + 1, cand & rows[v])
+            best = max(best, depth + 1)
+            cand &= ~(1 << v)
+
+    expand(0, (1 << len(edges)) - 1)
+    return best
+
+
 def min_nonadjacent_matching_plain(g: Graph, t: int) -> tuple[Matching, int]:
     """Unpruned depth-first minimum of the non-adjacent pair count over size-``t`` matchings.
 

@@ -16,7 +16,8 @@ from densematch import oracles
 from densematch.graphs import Graph, complement, from_edge_list
 from densematch.oracles import BadQuadrupleCount, _compatibility_rows, _incidence_masks, validate_matching
 from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
-                     compatibility_rows_pairwise, count_bad_quadruples_enumerated,
+                     compatibility_rows_pairwise, connected_matching_number_by_cliques,
+                     count_bad_quadruples_enumerated,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
                      greedy_clique, min_nonadjacent_matching_plain,
                      random_alpha2_graph, random_graph, random_matching_of,
@@ -216,12 +217,7 @@ class TestBadQuadruples:
     @pytest.mark.parametrize("n", [60, 100])
     @pytest.mark.parametrize("p", [0.3, 0.45])
     def test_matches_enumeration_on_complement_bipartite(self, n, p):
-        # two cliques of n/2, each cross pair kept as an edge with probability 1 - p
-        rng = np.random.default_rng(n)
-        half = n // 2
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if (u < half) == (v < half) or rng.random() >= p]
-        g = from_edge_list(n, edges)
+        g = _complement_bipartite(n, p, np.random.default_rng(n))
         assert count_bad_quadruples(g).count == count_bad_quadruples_enumerated(g) > 0
 
 
@@ -248,6 +244,25 @@ class TestCliqueNumber:
         assert clique_number(complete_graph(41), limit=41) == 41
 
 
+def _complement_bipartite(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """Two cliques of ``n // 2`` and ``n - n // 2`` vertices, each cross pair
+    kept as an edge with probability ``1 - p``."""
+    half = n // 2
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u < half) == (v < half) or rng.random() >= p]
+    return from_edge_list(n, edges)
+
+
+def _assert_agrees_with_clique_search(g: Graph):
+    """cm and the audit at every ``t`` agree with the clique search over the edges."""
+    cm = connected_matching_number_by_cliques(g)
+    assert connected_matching_number(g) == cm, g.rows
+    alpha_is_two = is_alpha_at_most_2(g) and g.m < g.n * (g.n - 1) // 2
+    for t in range(1, g.n // 2 + 1):
+        asked = alpha_is_two and g.n >= 4 * t - 1
+        assert clique_bound_audit(g, t) == (not asked or cm >= t), (g.rows, t)
+
+
 class TestConnectedMatchingNumber:
     def test_even_cliques_have_perfect_connected_matchings(self):
         for m in (1, 2, 3, 4, 5):
@@ -260,9 +275,36 @@ class TestConnectedMatchingNumber:
     def test_edgeless(self):
         assert connected_matching_number(from_edge_list(5, [])) == 0
 
-    def test_c5_blowup_searched_in_degree_sum_order(self):
-        # about a millisecond in degree-sum order; minutes in lexicographic order
+    def test_unbalanced_c5_blowup(self):
+        # the parts are twin classes, so the twin rules cut most of this search
         assert connected_matching_number(c5_blowup_complement([5, 10, 2, 5, 2])) == 12
+
+    @pytest.mark.parametrize("parts, cm", [
+        pytest.param(parts, cm, id=",".join(map(str, parts))) for parts, cm in (
+            ([9, 3, 9, 2, 1], 12), ([5, 1, 4, 8, 6], 10), ([9, 2, 7, 1, 4], 11),
+            ([3, 7, 6, 2, 5], 10), ([2, 1, 4, 4, 13], 10), ([4, 5, 2, 1, 11], 10),
+            ([10, 1, 1, 10, 1], 11))
+    ])
+    def test_c5_blowups_at_the_size_limit(self, parts, cm):
+        # pinned, not cross-checked: the clique search of helpers takes seconds
+        # to minutes on these mixes at the connected-matching size limit
+        assert connected_matching_number(c5_blowup_complement(parts)) == cm
+
+    def test_agrees_with_clique_search_on_alpha2_graphs(self):
+        for i in range(200):
+            _assert_agrees_with_clique_search(random_alpha2_graph(i, 6, 16))
+
+    def test_agrees_with_clique_search_on_twin_free_complement_bipartite(self):
+        # two cliques, each cross pair kept as an edge with probability 1 - p;
+        # twin-free, so the twin rules prune nothing and the colouring bound works alone
+        checked = 0
+        for n, p, seed in itertools.product(range(8, 17), (0.5, 0.7, 0.85, 0.95), range(6)):
+            g = _complement_bipartite(n, p, np.random.default_rng(100 * n + seed))
+            if any(oracles._twin_masks(g)):
+                continue
+            _assert_agrees_with_clique_search(g)
+            checked += 1
+        assert checked >= 40
 
     def test_agrees_with_matching_enumeration(self):
         rng = np.random.default_rng(10)
@@ -283,21 +325,24 @@ class TestConnectedMatchingNumber:
         for _ in range(40):
             g = random_graph(int(rng.integers(2, 15)), float(rng.uniform(0.1, 0.9)), rng)
             by_index = list(g.edges())
-            # the degree-sum order connected_matching_number searches in
+            # an unsorted order too: the rows must not assume the sorted edge list
             by_degree = sorted(by_index, key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
             for edges in (by_index, by_degree):
                 incident = _incidence_masks(g.n, edges)
                 assert (_compatibility_rows(g, edges, incident)
                         == compatibility_rows_pairwise(g, edges))
 
-    def test_capped_search_gives_min_of_cm_and_cap(self):
+    def test_zero_score_search_finds_sizes_up_to_cm(self):
         graphs = [random_alpha2_graph(i, 6, 12) for i in range(60)]
         graphs += [two_cliques(k) for k in range(3, 8)]
         graphs += [c5_blowup_complement([3, 3, 3, 3, 2]), c5_blowup_complement([2, 4, 2, 3, 3])]
         for g in graphs:
             cm = connected_matching_number(g)
-            for cap in range(1, g.n // 2 + 1):
-                assert oracles._connected_matching(g, cap) == min(cm, cap), (g.rows, cap)
+            for t in range(1, g.n // 2 + 1):
+                found = oracles._search(g, t, 1)
+                assert (found is not None) == (t <= cm), (g.rows, t)
+                if found is not None:
+                    assert found[0].size == t and nonadjacent_pairs(g, found[0]) == found[1] == 0
 
 
 class TestMinNonadjacentMatching:
@@ -569,24 +614,35 @@ class TestCliqueBoundAudit:
             assert connected_matching_number(two_cliques(2 * t)) == t
             assert clique_bound_audit(two_cliques(2 * t), t)
 
+    def test_seeded_c5_mixes_at_orders_20_to_24(self):
+        # the Füredi–Gyárfás–Simonyi inequality cm >= floor((n + 1) / 4) on 40
+        # c5 blowups, each cut into five parts at 4 distinct random points
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            n = int(rng.integers(20, 25))
+            cuts = [0, *sorted(rng.choice(np.arange(1, n), 4, replace=False).tolist()), n]
+            g = c5_blowup_complement([b - a for a, b in zip(cuts, cuts[1:])])
+            assert connected_matching_number(g) >= (n + 1) // 4, cuts
+
     def test_false_when_the_search_falls_short(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_max_clique", lambda n, rows, cap: cap - 1)
+        monkeypatch.setattr(oracles, "_search", lambda g, t, below: None)
         g = two_cliques(4)  # alpha = 2, n = 8
         assert not clique_bound_audit(g, 2)  # n >= 4t - 1
         assert clique_bound_audit(g, 3)  # n < 4t - 1: vacuous, no search
 
     def test_search_is_capped_at_t(self, monkeypatch):
-        caps = []
-        engine = oracles._max_clique
+        asked = []
+        search = oracles._search
 
-        def recorded(n, rows, cap):
-            caps.append(cap)
-            return engine(n, rows, cap)
+        def recorded(g, t, below):
+            asked.append((t, below))
+            return search(g, t, below)
 
-        monkeypatch.setattr(oracles, "_max_clique", recorded)
+        monkeypatch.setattr(oracles, "_search", recorded)
         g = c5_blowup_complement([3, 3, 3, 3, 4])
         assert all(clique_bound_audit(g, t) for t in range(1, g.n // 2 + 1))
-        assert caps == [1, 2, 3, 4]  # the t with n >= 4t - 1; never n // 2 = 8
+        # the t with n >= 4t - 1, each asked for a score below 1; never n // 2 = 8
+        assert asked == [(1, 1), (2, 1), (3, 1), (4, 1)]
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError,
@@ -672,16 +728,15 @@ class TestPerGraphMemo:
                 min_nonadjacent_matching(g, 6)
         assert not _memoised(big)  # refused before the memo is read
 
-    @pytest.mark.parametrize("builder", ["_lexicographic_tables", "_degree_sum_tables"])
-    def test_tables_built_once_per_graph(self, monkeypatch, builder):
+    def test_tables_built_once_per_graph(self, monkeypatch):
         built = []
-        build = getattr(oracles, builder)
+        build = oracles._lexicographic_tables
 
         def counting(g):
             built.append(g.rows)
             return build(g)
 
-        monkeypatch.setattr(oracles, builder, counting)
+        monkeypatch.setattr(oracles, "_lexicographic_tables", counting)
         g = c5_blowup_complement([3, 3, 3, 3, 2])
         assert _exact_facts(g, True) == _exact_facts(g, False)
         assert len(built) == 1
