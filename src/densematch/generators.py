@@ -1,8 +1,12 @@
 """Seeded constructors for graphs whose independence number is at most 2.
 
 Every generator is a pure function of its arguments: calling it twice with
-the same inputs yields bitwise-identical adjacency rows.
+the same inputs yields bitwise-identical adjacency rows.  Each output has
+α ≤ 2 by construction, so it carries the answer of
+:func:`graphs.is_alpha_at_most_2` from the start and is never scanned.
 """
+
+from array import array
 
 import numpy as np
 
@@ -13,13 +17,22 @@ from .graphs import Graph, _as_int, _as_order, complement
 # fresh closed-pair snapshot, so a few snapshots cover every pair
 _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
+# pairs filtered, decoded and visited at a time, so no temporary outgrows one step
+_STEP = 1 << 16
+
+
+def _alpha_at_most_2_by_construction(g: Graph) -> Graph:
+    """``g`` with its α ≤ 2 memo stored, for a graph whose construction proves it."""
+    object.__setattr__(g, "_alpha_at_most_2", True)
+    return g
 
 
 def complete_graph(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
     n = _as_order(n, 1)
     full = (1 << n) - 1
-    return Graph._of_rows(tuple(full ^ (1 << v) for v in range(n)))
+    return _alpha_at_most_2_by_construction(
+        Graph._of_rows(tuple(full ^ (1 << v) for v in range(n))))
 
 
 def two_cliques(s: int) -> Graph:
@@ -35,7 +48,7 @@ def two_cliques(s: int) -> Graph:
     mask_b = mask_a << s
     rows = [mask_a ^ (1 << v) for v in range(s)]
     rows += [mask_b ^ (1 << v) for v in range(s, 2 * s)]
-    return Graph._of_rows(tuple(rows))
+    return _alpha_at_most_2_by_construction(Graph._of_rows(tuple(rows)))
 
 
 def c5_blowup_complement(part_sizes) -> Graph:
@@ -66,7 +79,7 @@ def c5_blowup_complement(part_sizes) -> Graph:
         blow_row = part_masks[(i - 1) % 5] | part_masks[(i + 1) % 5]
         for v in range(offsets[i], offsets[i] + sizes[i]):
             rows.append((full ^ blow_row) ^ (1 << v))
-    return Graph._of_rows(tuple(rows))
+    return _alpha_at_most_2_by_construction(Graph._of_rows(tuple(rows)))
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -81,28 +94,40 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     neighbour are dropped before the visit.  This is exact: rows only grow,
     so such a pair would still be rejected at its turn, and a rejected pair
     changes nothing.
+
+    Memory: the order is a shuffled ``uint32`` arange, 4 bytes per pair
+    (the same draws as ``rng.permutation``), and a segment's closed-pair
+    snapshot holds 1 byte per pair.  Each segment is filtered, decoded and
+    visited in steps of 2**16 pairs against its one snapshot, so the other
+    temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
-    neighbours = [[] for _ in range(n)]
+    neighbours = [array("I") for _ in range(n)]
     total = n * (n - 1) // 2
-    order = rng.permutation(total)
+    # below 2**32 pairs up to MAX_VERTICES
+    order = np.arange(total, dtype=np.uint32)
+    rng.shuffle(order)
     start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
     while start < total:
-        segment = order[start:start + length]
-        if start:
-            segment = segment[_closed_pairs(n, rows, neighbours)[segment] == 0]
-        us, vs = _decode_pair_indices(n, segment)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if not rows[u] & rows[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                neighbours[u].append(v)
-                neighbours[v].append(u)
-        start += length
-        length *= _SEGMENT_GROWTH
-    return complement(Graph._of_rows(tuple(rows)))
+        end = min(start + length, total)
+        closed = _closed_pairs(n, rows, neighbours) if start else None
+        for step in range(start, end, _STEP):
+            pairs = order[step:min(step + _STEP, end)]
+            if closed is not None:
+                pairs = pairs[closed[pairs] == 0]
+            us, vs = _decode_pair_indices(n, pairs)
+            for u, v in zip(us.tolist(), vs.tolist()):
+                if not rows[u] & rows[v]:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    neighbours[u].append(v)
+                    neighbours[v].append(u)
+        # release the snapshot before the next one is built
+        closed = None
+        start, length = end, length * _SEGMENT_GROWTH
+    return _alpha_at_most_2_by_construction(complement(Graph._of_rows(tuple(rows))))
 
 
 def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:

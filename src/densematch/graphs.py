@@ -239,7 +239,9 @@ def is_alpha_at_most_2(g: Graph) -> bool:
     """True iff no three vertices are pairwise non-adjacent.
 
     Equivalently the complement is triangle-free.  The scan runs once per
-    graph; later calls on the same object return the stored answer.
+    graph; later calls on the same object return the stored answer.  The
+    generators store that answer as they build, since their outputs have
+    α ≤ 2 by construction; any other graph is scanned.
     """
     return g._alpha_at_most_2
 

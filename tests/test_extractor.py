@@ -9,7 +9,7 @@ import statistics
 import numpy as np
 import pytest
 
-from densematch import (Matching, c5_blowup_complement,
+from densematch import (Graph, Matching, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         count_bad_quadruples, derive_params, extract_best,
                         extract_once, is_alpha_at_most_2, nonadjacent_pairs,
@@ -469,7 +469,8 @@ class TestTrialSeed:
     def test_bad_master_seed_is_named(self, seed):
         with pytest.raises(ValueError, match="master_seed"):
             trial_seed(seed, 0)
-        g = complete_graph(40)
+        # an untrusted copy, since a generator's output carries its alpha answer
+        g = Graph(complete_graph(40).rows)
         with pytest.raises(ValueError, match="master_seed"):
             extract_best(g, 8.0, 4, 2, seed)
         assert "_alpha_at_most_2" not in vars(g)  # refused before the alpha scan

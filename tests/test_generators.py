@@ -1,13 +1,15 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from densematch import (c5_blowup_complement,
+from densematch import (Graph, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
-from densematch.graphs import complement
+from densematch.generators import _decode_pair_indices
+from densematch.graphs import MAX_VERTICES, complement
 from helpers import (all_matchings, brute_alpha_at_most_2,
                      reference_random_triangle_free_complement)
 
@@ -53,8 +55,9 @@ class TestRandomTriangleFreeComplement:
         assert (g.n, g.m) == (1, 0)
 
     def test_alpha_bound_by_construction(self):
+        # the generator stores the answer; an untrusted copy of its rows is scanned
         g = complement_of_random_triangle_free(20, 7)
-        assert is_alpha_at_most_2(g)
+        assert is_alpha_at_most_2(g) and is_alpha_at_most_2(Graph(g.rows))
 
     def test_deterministic(self):
         a = complement_of_random_triangle_free(20, 7)
@@ -98,6 +101,42 @@ class TestRandomTriangleFreeComplement:
             tf = complement(g)
             for u, v in g.edges():  # edges of g are exactly the tf non-edges
                 assert tf.rows[u] & tf.rows[v], f"pair ({u}, {v}) was addable"
+
+
+class TestPairStream:
+    # the goldens pin rows; these pin the two steps under them on every numpy
+
+    @pytest.mark.parametrize("total, seed", [(1, 0), (1000, 11), (70_001, 3), (1_279_200, 11)])
+    def test_uint32_shuffle_equals_permutation(self, total, seed):
+        order = np.arange(total, dtype=np.uint32)
+        np.random.default_rng(seed).shuffle(order)
+        assert np.array_equal(order, np.random.default_rng(seed).permutation(total))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 1600, 3201, MAX_VERTICES])
+    def test_decode_same_for_uint32_and_int64(self, n):
+        total = n * (n - 1) // 2
+        picks = np.random.default_rng(n).integers(0, total, size=1000)
+        ends = [0, n - 2, n - 1, total // 2, total - 2, total - 1]
+        idx = np.unique(np.concatenate([picks, ends]))
+        idx = idx[(idx >= 0) & (idx < total)]
+        u, v = _decode_pair_indices(n, idx.astype(np.int64))
+        u32, v32 = _decode_pair_indices(n, idx.astype(np.uint32))
+        assert np.array_equal(u, u32) and np.array_equal(v, v32)
+        assert ((0 <= u) & (u < v) & (v < n)).all()
+        assert np.array_equal(u * (2 * n - u - 1) // 2 + (v - u - 1), idx)
+        assert (int(u[-1]), int(v[-1])) == (n - 2, n - 1)
+
+    def test_peak_memory_per_pair(self):
+        # 4 bytes of order and 1 of snapshot per pair, plus bounded steps;
+        # the int64 order with whole-segment temporaries read 15.5
+        n = 1600
+        tracemalloc.start()
+        try:
+            complement_of_random_triangle_free(n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * (n - 1) // 2) < 10
 
 
 class TestC5BlowupComplement:
@@ -173,11 +212,17 @@ class TestFamilyInvariants:
         rng = np.random.default_rng(99)
         for i in range(200):
             n = int(rng.integers(1, 61))
-            assert is_alpha_at_most_2(complement_of_random_triangle_free(n, i))
-            assert is_alpha_at_most_2(two_cliques(max(1, n // 2)))
-            assert is_alpha_at_most_2(complete_graph(n))
             parts = tuple(1 + int(x) for x in rng.integers(0, 12, size=5))
-            assert is_alpha_at_most_2(c5_blowup_complement(parts))
+            for g in (complement_of_random_triangle_free(n, i), two_cliques(max(1, n // 2)),
+                      complete_graph(n), c5_blowup_complement(parts)):
+                # the stored answer must agree with the scan of an untrusted copy
+                assert is_alpha_at_most_2(g) and is_alpha_at_most_2(Graph(g.rows)), (i, g.n)
+
+    def test_alpha_memo_stored_by_construction(self):
+        for g in (complement_of_random_triangle_free(30, 2), two_cliques(4),
+                  complete_graph(9), c5_blowup_complement((2, 1, 3, 1, 2))):
+            assert vars(g)["_alpha_at_most_2"] is True
+            assert "_alpha_at_most_2" not in vars(Graph(g.rows))
 
     def test_repeat_output_bitwise_identical(self):
         assert two_cliques(9).rows == two_cliques(9).rows
