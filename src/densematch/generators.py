@@ -17,8 +17,8 @@ from .graphs import Graph, _as_int, _as_order, complement
 # fresh closed-pair snapshot, so a few snapshots cover every pair
 _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
-# pairs filtered, decoded and visited at a time, so no temporary outgrows one step
-_STEP = 1 << 16
+# pairs decoded, filtered and visited at a time, so no temporary outgrows one step
+_STEP = 1 << 12
 
 
 def _alpha_at_most_2_by_construction(g: Graph) -> Graph:
@@ -95,29 +95,30 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     so such a pair would still be rejected at its turn, and a rejected pair
     changes nothing.
 
-    Memory: the order is a shuffled ``uint32`` arange, 4 bytes per pair
-    (the same draws as ``rng.permutation``), and a segment's closed-pair
-    snapshot holds 1 byte per pair.  Each segment is filtered, decoded and
-    visited in steps of 2**16 pairs against its one snapshot, so the other
+    Memory: the order is the lexicographic list of ``uint32`` pair codes
+    ``u << 16 | v``, shuffled in place, 4 bytes per pair (the same draws as
+    ``rng.permutation``, so the same order), and a segment's closed-pair
+    snapshot holds 1 bit per pair.  Each segment is decoded, filtered and
+    visited in steps of 2**12 pairs against its one snapshot, so the other
     temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
     neighbours = [array("I") for _ in range(n)]
-    total = n * (n - 1) // 2
-    # below 2**32 pairs up to MAX_VERTICES
-    order = np.arange(total, dtype=np.uint32)
-    rng.shuffle(order)
+    codes = _pair_codes(n)
+    rng.shuffle(codes)
+    total = len(codes)
     start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
     while start < total:
         end = min(start + length, total)
         closed = _closed_pairs(n, rows, neighbours) if start else None
         for step in range(start, end, _STEP):
-            pairs = order[step:min(step + _STEP, end)]
+            pairs = codes[step:min(step + _STEP, end)]
+            us, vs = pairs >> 16, pairs & 0xFFFF
             if closed is not None:
-                pairs = pairs[closed[pairs] == 0]
-            us, vs = _decode_pair_indices(n, pairs)
+                keep = closed[us, vs >> 3] >> (vs & 7) & 1 == 0
+                us, vs = us[keep], vs[keep]
             for u, v in zip(us.tolist(), vs.tolist()):
                 if not rows[u] & rows[v]:
                     rows[u] |= 1 << v
@@ -130,37 +131,33 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     return _alpha_at_most_2_by_construction(complement(Graph._of_rows(tuple(rows))))
 
 
-def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
-    """One ``uint8`` per lexicographic pair index: 1 iff its ends share a neighbour.
-
-    Row ``u`` of the closed matrix is the OR of ``rows[w]`` over the
-    neighbours ``w`` of ``u``; its bits above ``u`` fill the slice of
-    pairs ``(u, u+1) .. (u, n-1)``.
-    """
-    closed = np.empty(n * (n - 1) // 2, dtype=np.uint8)
+def _pair_codes(n: int) -> np.ndarray:
+    """Every pair ``u < v`` as the ``uint32`` code ``u << 16 | v``, lexicographically."""
+    codes = np.empty(n * (n - 1) // 2, dtype=np.uint32)
     offset = 0
     for u in range(n - 1):
-        width = n - 1 - u
+        codes[offset:offset + n - 1 - u] = _row_codes(n, u)
+        offset += n - 1 - u
+    return codes
+
+
+def _row_codes(n: int, u: int) -> np.ndarray:
+    """The codes of the pairs ``(u, u+1) .. (u, n-1)``; ends below MAX_VERTICES fit 16 bits."""
+    return np.arange((u << 16) + u + 1, (u << 16) + n, dtype=np.uint32)
+
+
+def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
+    """Bit ``v`` of packed row ``u`` is 1 iff ``u`` and ``v`` share a neighbour.
+
+    An ``n x ceil(n/8)`` ``uint8`` matrix, 1 bit per pair: row ``u`` is the
+    OR of ``rows[w]`` over the neighbours ``w`` of ``u``, little-endian, and
+    only its bits above ``u`` are read.
+    """
+    width = (n + 7) // 8
+    closed = bytearray(n * width)
+    for u in range(n - 1):
         reach = 0
         for w in neighbours[u]:
             reach |= rows[w]
-        packed = (reach >> (u + 1)).to_bytes((width + 7) // 8, "little")
-        closed[offset:offset + width] = np.unpackbits(
-            np.frombuffer(packed, dtype=np.uint8), count=width, bitorder="little")
-        offset += width
-    return closed
-
-
-def _decode_pair_indices(n: int, idx):
-    """Map lexicographic pair indices to ``(u, v)`` arrays with ``u < v``.
-
-    The pair ``(u, v)`` has index ``u*(2n-u-1)//2 + (v-u-1)``; the float
-    inverse can land one off, so two integer correction passes follow.
-    """
-    b = 2 * n - 1
-    u = ((b - np.sqrt(b * b - 8.0 * idx)) // 2).astype(np.int64)
-    for _ in range(2):
-        u = np.where(u * (b - u) // 2 > idx, u - 1, u)
-        u = np.where((u + 1) * (b - u - 1) // 2 <= idx, u + 1, u)
-    v = idx - u * (b - u) // 2 + u + 1
-    return u, v
+        closed[u * width:(u + 1) * width] = reach.to_bytes(width, "little")
+    return np.frombuffer(closed, dtype=np.uint8).reshape(n, width)

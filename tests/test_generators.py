@@ -8,7 +8,7 @@ from densematch import (Graph, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
-from densematch.generators import _decode_pair_indices
+from densematch.generators import _pair_codes, _row_codes
 from densematch.graphs import MAX_VERTICES, complement
 from helpers import (all_matchings, brute_alpha_at_most_2,
                      reference_random_triangle_free_complement)
@@ -112,31 +112,40 @@ class TestPairStream:
         np.random.default_rng(seed).shuffle(order)
         assert np.array_equal(order, np.random.default_rng(seed).permutation(total))
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 1600, 3201, MAX_VERTICES])
-    def test_decode_same_for_uint32_and_int64(self, n):
-        total = n * (n - 1) // 2
-        picks = np.random.default_rng(n).integers(0, total, size=1000)
-        ends = [0, n - 2, n - 1, total // 2, total - 2, total - 1]
-        idx = np.unique(np.concatenate([picks, ends]))
-        idx = idx[(idx >= 0) & (idx < total)]
-        u, v = _decode_pair_indices(n, idx.astype(np.int64))
-        u32, v32 = _decode_pair_indices(n, idx.astype(np.uint32))
-        assert np.array_equal(u, u32) and np.array_equal(v, v32)
-        assert ((0 <= u) & (u < v) & (v < n)).all()
-        assert np.array_equal(u * (2 * n - u - 1) // 2 + (v - u - 1), idx)
-        assert (int(u[-1]), int(v[-1])) == (n - 2, n - 1)
+    @pytest.mark.parametrize("n", [2, 3, 7, 100])
+    def test_pair_codes_are_lexicographic(self, n):
+        codes = _pair_codes(n)
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == [(u << 16) | v for u in range(n) for v in range(u + 1, n)]
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (46, 11), (375, 3), (1600, 11)])
+    def test_shuffled_codes_follow_permutation(self, n, seed):
+        # shuffle's draws do not read the array, so codes visit pairs in the
+        # order rng.permutation gives their lexicographic indices
+        codes = _pair_codes(n)
+        shuffled = codes.copy()
+        np.random.default_rng(seed).shuffle(shuffled)
+        assert np.array_equal(shuffled, codes[np.random.default_rng(seed).permutation(len(codes))])
+
+    def test_codes_fit_16_bit_ends(self):
+        # the first and last rows at the largest order, without its 8.6 GB array
+        n = MAX_VERTICES
+        assert n <= 1 << 16
+        assert _row_codes(n, 0)[[0, -1]].tolist() == [1, n - 1]
+        assert _row_codes(n, n - 2).tolist() == [((n - 2) << 16) | (n - 1)]
 
     def test_peak_memory_per_pair(self):
-        # 4 bytes of order and 1 of snapshot per pair, plus bounded steps;
-        # the int64 order with whole-segment temporaries read 15.5
-        n = 1600
+        # 4 bytes of pair codes and 1 bit of snapshot per pair, plus steps
+        # of 2**12 pairs, read 5.9; the 1-byte snapshot with float decoding
+        # and 2**16-pair steps read 11.0 here (8.1 at n=1600)
+        n = 800
         tracemalloc.start()
         try:
             complement_of_random_triangle_free(n, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (n * (n - 1) // 2) < 10
+        assert peak / (n * (n - 1) // 2) < 7.5
 
 
 class TestC5BlowupComplement:
