@@ -114,16 +114,27 @@ def derive_params(ratio: float, t: int, slack: float) -> ExtractionParams:
 
 
 def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
-    """Parity-fix the graph and derive parameters at the optimal slack.
+    """Parity-fix the graph and derive parameters at the best admissible slack.
 
     Vertex 0 is the deterministic choice when one vertex must go; the ratio
     is recomputed from the remaining order, so a graph larger than strictly
-    necessary only improves the bound.
+    necessary only improves the bound.  The pair bound is unimodal in the
+    slack, with its stationary point at :func:`optimal_slack`, so
+    ``min(optimal_slack, ratio/2 - 3/2)`` minimises it over the window
+    ``(sqrt(ratio/t), ratio/2 - 3/2]``.  A ratio of at least 4 whose window is
+    empty is a :class:`ParameterError` naming both ends.
     """
     # dropping row 0 and bit 0 of every other row renumbers each w > 0 to w - 1
     g = Graph._of_rows(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
-    ratio = g.n / _check_t(t)
-    return g, derive_params(ratio, t, optimal_slack(ratio, t))
+    t = _check_t(t)
+    ratio = g.n / t
+    cap = ratio / 2 - 1.5
+    # the inequalities derive_params checks, so the capped slack passes them
+    if ratio >= 4 and not cap * cap > ratio / t:
+        raise ParameterError(
+            f"no slack serves ratio {ratio:.6g} at t = {t}: the window (sqrt(ratio/t), "
+            f"ratio/2 - 3/2] = ({math.sqrt(ratio / t):.6g}, {cap:.6g}] is empty")
+    return g, derive_params(ratio, t, min(optimal_slack(ratio, t), cap))
 
 
 def check_run_args(c: float, t: int, trials: int) -> None:

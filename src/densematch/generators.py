@@ -7,6 +7,7 @@ the same inputs yields bitwise-identical adjacency rows.  Each output has
 """
 
 from array import array
+from mmap import mmap
 
 import numpy as np
 
@@ -19,6 +20,9 @@ _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
 # pairs decoded, filtered and visited at a time, so no temporary outgrows one step
 _STEP = 1 << 12
+# glibc's initial mmap threshold: a smaller buffer comes from the heap in any
+# case, and a map of its own would cost a small build a third of its time
+_MAPPED_CODES_BYTES = 1 << 17
 
 
 def _alpha_at_most_2_by_construction(g: Graph) -> Graph:
@@ -96,11 +100,11 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     changes nothing.
 
     Memory: the order is the lexicographic list of ``uint32`` pair codes
-    ``u << 16 | v``, shuffled in place, 4 bytes per pair (the same draws as
-    ``rng.permutation``, so the same order), and a segment's closed-pair
-    snapshot holds 1 bit per pair.  Each segment is decoded, filtered and
-    visited in steps of 2**12 pairs against its one snapshot, so the other
-    temporaries never outgrow a step.
+    ``u << 16 | v``, shuffled in place, 4 bytes per pair in a memory map of
+    its own (the same draws as ``rng.permutation``, so the same order), and
+    a segment's closed-pair snapshot holds 1 bit per pair.  Each segment is
+    decoded, filtered and visited in steps of 2**12 pairs against its one
+    snapshot, so the other temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
@@ -132,8 +136,19 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
 
 
 def _pair_codes(n: int) -> np.ndarray:
-    """Every pair ``u < v`` as the ``uint32`` code ``u << 16 | v``, lexicographically."""
-    codes = np.empty(n * (n - 1) // 2, dtype=np.uint32)
+    """Every pair ``u < v`` as the ``uint32`` code ``u << 16 | v``, lexicographically.
+
+    From ``_MAPPED_CODES_BYTES`` on, the codes live in an anonymous memory map
+    of their own, unmapped when the array goes.  A malloc'd buffer of that
+    size is mapped the first time only: glibc raises its mmap threshold when
+    it frees it, so later builds' codes come from the heap, whose holes later
+    allocations split, and a process keeps megabytes it no longer uses.
+    """
+    count = n * (n - 1) // 2
+    if 4 * count < _MAPPED_CODES_BYTES:
+        codes = np.empty(count, dtype=np.uint32)
+    else:
+        codes = np.frombuffer(mmap(-1, 4 * count), dtype=np.uint32)
     offset = 0
     for u in range(n - 1):
         codes[offset:offset + n - 1 - u] = _row_codes(n, u)

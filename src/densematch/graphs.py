@@ -2,12 +2,12 @@
 
 Vertices are the dense range ``0..n-1``.  Each adjacency row is a Python int
 used as a bitset: bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge.  The
-same rows are also available as a packed ``uint8`` matrix, built on first
-use, for vectorised lookups.  All operations treat graphs as read-only
-values, so instances are safe to share between threads: a value memoised on
-first use (the packed rows, the α ≤ 2 answer, the exact oracles' per-graph
-facts) is a pure function of the rows, so a race can only compute the same
-value twice.
+same rows are also available as a matrix of little-endian 64-bit words,
+built on first use, and as its packed ``uint8`` view, for vectorised
+lookups.  All operations treat graphs as read-only values, so instances are
+safe to share between threads: a value memoised on first use (the numpy
+rows, the α ≤ 2 answer, the exact oracles' per-graph facts) is a pure
+function of the rows, so a race can only compute the same value twice.
 """
 
 import operator
@@ -99,7 +99,7 @@ class Graph:
         # a list of rows would leave the graph unhashable and unequal to the tuple build
         rows = tuple(self.rows)
         if any(type(row) is not int for row in rows):
-            # numpy integers have no int.to_bytes, which the packed rows need
+            # numpy integers have no int.to_bytes, which the numpy rows need
             rows = tuple(_as_int(f"row {v} value", row) for v, row in enumerate(rows))
         object.__setattr__(self, "rows", rows)
         n = _as_order(len(rows))
@@ -150,16 +150,22 @@ class Graph:
                 yield u, u + 1 + off
 
     @cached_property
+    def _words(self) -> np.ndarray:
+        """Read-only ``n x ceil(n/64)`` little-endian ``uint64`` copy of the rows,
+        built on first use: bit ``v`` of row ``u`` is bit ``v % 64`` of word ``v // 64``."""
+        nbytes = 8 * ((self.n + 63) // 64)
+        buf = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
+        return np.frombuffer(buf, "<u8").reshape(self.n, nbytes // 8)
+
+    @cached_property
     def packed(self) -> np.ndarray:
-        """Read-only ``n x ceil(n/8)`` ``uint8`` copy of the rows, built on first use
-        (``Graph(rows)`` uses it for its symmetry check).
+        """Read-only ``n x ceil(n/8)`` ``uint8`` view of the rows' 64-bit words,
+        built on first use (``Graph(rows)`` uses it for its symmetry check).
 
         Bit ``v`` of row ``u`` is bit ``v % 8`` of byte ``v // 8``
         (little-endian), so row ``u`` holds the bytes of ``rows[u]``.
         """
-        nbytes = (self.n + 7) // 8
-        buf = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
-        return np.frombuffer(buf, np.uint8).reshape(self.n, nbytes)
+        return self._words.view(np.uint8)[:, :(self.n + 7) // 8]
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise ``has_edge`` over two equal-shape integer index arrays."""
@@ -200,7 +206,7 @@ class Matching:
         Equal to ``Matching(pairs.tolist())``, with every end a Python int.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "edges", tuple(map(tuple, pairs.tolist())))
+        object.__setattr__(m, "edges", tuple(zip(*pairs.T.tolist())))
         return m
 
     @property

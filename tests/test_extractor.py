@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import statistics
 
 import numpy as np
@@ -20,7 +21,7 @@ from densematch.extractor import ExtractionParams, prepare_extraction, trial_see
 from densematch.graphs import from_edge_list
 from densematch.oracles import validate_matching
 from densematch.sampling import DEFAULT_MAX_ATTEMPTS, sample_edge_heavy_partition
-from helpers import all_pairings
+from helpers import all_pairings, count_nonadjacent_pairs_naive
 
 
 def reference_bound(ratio, t, slack):
@@ -236,6 +237,54 @@ class TestPrepareExtraction:
             assert is_alpha_at_most_2(h)
             assert params.ratio == h.n / t
 
+    @pytest.mark.parametrize("c", [4.2, 4.348, 5.0])
+    def test_slack_is_clamped_to_its_window(self, c):
+        # every t up to 40 on an even order n >= c*t; where optimal_slack lies
+        # above the cap ratio/2 - 3/2 the cap is used, and only an empty window
+        # (sqrt(ratio/t), ratio/2 - 3/2] is refused, naming both of its ends
+        ran, capped = [], []
+        for t in range(1, 41):
+            n = 2 * math.ceil(c * t / 2)
+            ratio = n / t
+            lo, hi = math.sqrt(ratio / t), ratio / 2 - 1.5
+            if not hi * hi > ratio / t:
+                with pytest.raises(ParameterError, match=re.escape(
+                        f"window (sqrt(ratio/t), ratio/2 - 3/2] = ({lo:.6g}, {hi:.6g}] is empty")):
+                    prepare_extraction(complete_graph(n), t)
+                continue
+            _, params = prepare_extraction(complete_graph(n), t)
+            assert params.slack == min(optimal_slack(ratio, t), hi)
+            if params.slack == hi:
+                capped.append(t)
+            grid = np.linspace(lo, hi, 20_001)[1:]
+            best = grid[np.argmin(reference_bound(ratio, t, grid))]
+            assert abs(params.slack - best) / best < 0.01, (t, params.slack, best)
+            matching, _ = extract_best(complete_graph(n), c, t, 1, master_seed=0)
+            assert matching.size == t
+            ran.append(t)
+        # at ratio c the window is non-empty exactly above t = c/(c/2 - 3/2)**2,
+        # and that end falls as the ratio grows, so every t from it on ran
+        first = math.floor(c / (c / 2 - 1.5) ** 2) + 1
+        assert set(range(first, 41)) <= set(ran)
+        # each ratio has a band of t where optimal_slack was refused before the cap
+        assert capped
+
+    def test_capped_slack_serves_a_once_refused_input(self):
+        # optimal_slack 0.681437 lies above the cap 0.673913 at ratio 100/23;
+        # the cap meets both inequalities, so the extractor runs there
+        g = complement_of_random_triangle_free(100, 1)
+        _, params = prepare_extraction(g, 23)
+        assert params.slack == 100 / 23 / 2 - 1.5 < optimal_slack(100 / 23, 23)
+        matching, reports = extract_best(g, 4.3, 23, 4, 0)
+        assert matching.size == 23 and len(reports) == 4
+
+    def test_slack_below_the_cap_is_unchanged(self):
+        # the benchmark's and the golden hashes' orders, whose outputs stay pinned
+        for g, t in [(complete_graph(3200), 400), (complete_graph(801), 100),
+                     (complete_graph(41), 5)]:
+            h, params = prepare_extraction(g, t)
+            assert params == derive_params(h.n / t, t, optimal_slack(h.n / t, t))
+
 
 class TestSelectionProbability:
     def test_per_edge_frequency_at_most_pick_cap(self):
@@ -393,6 +442,44 @@ class TestExtractBest:
         monkeypatch.setattr(extractor, "_count_unlinked", lambda g, a, b: real(g, a, b) + 1)
         with pytest.raises(RuntimeError, match="counted 1 non-adjacent pairs, its matching has 0"):
             extract_best(complete_graph(97), 8.0, 12, 3, master_seed=0)
+
+    def test_trial_and_score_calls_go_through_module_names(self, monkeypatch):
+        # per-layer timings wrap these two module globals by name, so each trial
+        # must call extract_once and the winner alone nonadjacent_pairs
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(extractor, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("extract_once", "nonadjacent_pairs"):
+            monkeypatch.setattr(extractor, name, counted(name))
+        for g, trials in [(complement_of_random_triangle_free(81, 3), 6), (complete_graph(97), 3)]:
+            calls.clear()
+            extract_best(g, 8.0, 10, trials, master_seed=5)
+            assert calls == {"extract_once": trials, "nonadjacent_pairs": 1}
+
+    @pytest.mark.parametrize("g, c, t", [
+        pytest.param(complement_of_random_triangle_free(129, 4), 4.3, 24, id="rtf-129"),
+        pytest.param(c5_blowup_complement([9, 8, 7, 6, 9]), 6.0, 6, id="c5-39"),
+        # cliques of 17 and 16 vertices: many cross pairs of edges are unlinked
+        pytest.param(from_edge_list(33, [(u, v) for u, v in itertools.combinations(range(33), 2)
+                                         if (u < 17) == (v < 17)]), 6.0, 5, id="two-cliques-33"),
+    ])
+    def test_odd_order_trials_score_like_the_naive_count(self, g, c, t):
+        assert g.n % 2 == 1
+        matching, reports = extract_best(g, c, t, 6, master_seed=9)
+        h, params = prepare_extraction(g, t)
+        for report in reports:
+            replay, _ = extract_once(h, params, report.seed)
+            assert count_nonadjacent_pairs_naive(h, replay.edges) == report.nonadjacent_pairs
+        best = min(r.nonadjacent_pairs for r in reports)
+        assert count_nonadjacent_pairs_naive(g, matching.edges) == best
+        assert any(r.nonadjacent_pairs for r in reports)
 
     def test_every_trial_failing_raises_one_aggregate(self):
         # two K400 hold about 200 partition edges on average, far below the 285 demanded

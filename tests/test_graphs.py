@@ -251,6 +251,23 @@ class TestPackedView:
             u, v = np.divmod(np.arange(g.n * g.n), max(g.n, 1))
             assert np.array_equal(g.has_edges(u, v), expect.ravel())
 
+    def test_row_bytes_over_64_bit_words(self):
+        # the packed view keeps the layout of the rows' little-endian bytes,
+        # read from the words that scoring uses, without a second copy
+        rng = np.random.default_rng(64)
+        for n in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
+            g = random_graph(n, 0.5, rng)
+            nbytes = (n + 7) // 8
+            assert g.packed.shape == (n, nbytes)
+            assert g.packed.tobytes() == b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
+            words = g._words
+            assert words.dtype == np.dtype("<u8") and words.shape == (n, (n + 63) // 64)
+            assert [int.from_bytes(row.tobytes(), "little") for row in words] == list(g.rows)
+            assert not words.flags.writeable and not g.packed.flags.writeable
+            assert n == 0 or np.shares_memory(g.packed, words)
+            u, v = np.divmod(np.arange(n * n), max(n, 1))
+            assert g.has_edges(u, v).tolist() == [g.has_edge(*uv) for uv in zip(u.tolist(), v.tolist())]
+
     def test_read_only(self):
         g = two_cliques(5)
         assert not g.packed.flags.writeable

@@ -70,7 +70,7 @@ class TestNonadjacentPairs:
             g = two_cliques(3)
             with pytest.raises(ValueError, match=message):
                 nonadjacent_pairs(g, Matching(pairs))
-            assert "packed" not in vars(g)
+            assert "packed" not in vars(g) and "_words" not in vars(g)
 
     def test_invalid_matching_messages_match_reference(self):
         # Matching sorts its edges, and the first bad edge in that order is named
@@ -97,7 +97,7 @@ class TestNonadjacentPairs:
             assert expected is not None
             assert _error(validate_matching, g, m) == expected
             assert _error(nonadjacent_pairs, g, m) == expected
-            assert "packed" not in vars(g)
+            assert "packed" not in vars(g) and "_words" not in vars(g)
             seen.update(kind for kind in ("invalid edge", "not an edge", "reuses")
                         if kind in expected)
         assert seen == {"invalid edge", "not an edge", "reuses"}
@@ -143,6 +143,46 @@ class TestNonadjacentPairs:
             m = random_matching_of(g, rng)
             fast = nonadjacent_pairs(g, m)
             assert fast == count_nonadjacent_pairs_naive(g, m.edges)
+
+
+def _alpha2_families(n: int, rng: np.random.Generator):
+    """Two cliques, a c5 blow-up complement (from n = 5) and a random graph with
+    alpha <= 2, each on n vertices, as ``(name, graph)``."""
+    s = n // 2
+    yield "two-cliques", from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                            if (u < s) == (v < s)])
+    if n >= 5:
+        yield "c5", c5_blowup_complement((1 + rng.multinomial(n - 5, [0.2] * 5)).tolist())
+    yield "rtf", complement_of_random_triangle_free(n, int(rng.integers(1 << 16)))
+
+
+class TestScoringCrossCheck:
+    @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 127, 128, 129])
+    def test_counts_match_the_naive_scan(self, n):
+        rng = np.random.default_rng(n)
+        for name, base in _alpha2_families(n, rng):
+            assert is_alpha_at_most_2(base)
+            order = rng.permutation(n).tolist()
+            pairing = [(min(p), max(p)) for p in zip(order[0::2], order[1::2])]
+            # the planted pairs are the matching's own edges, so they add no link
+            # between two pairs, and adding edges keeps alpha <= 2
+            g = from_edge_list(n, list(base.edges()) + pairing)
+            total = 0
+            for t in (1, n // 2):
+                m = Matching(pairing[:t])
+                expect = count_nonadjacent_pairs_naive(g, m.edges)
+                assert nonadjacent_pairs(g, m) == expect, (name, t)
+                a, b = np.array(m.edges, dtype=np.intp).reshape(t, 2).T
+                assert oracles._count_unlinked(g, a, b) == expect, (name, t)
+                # either end may come first, and the edges may come in any order
+                flip = rng.permutation(t)
+                assert oracles._count_unlinked(g, b[flip], a[flip]) == expect, (name, t)
+                total += expect
+            if n > 60:
+                # every family leaves some pairs unlinked at t = n // 2
+                assert total > 0, name
+            m = random_matching_of(base, rng)
+            assert nonadjacent_pairs(base, m) == count_nonadjacent_pairs_naive(base, m.edges)
 
 
 class TestBadQuadruples:
