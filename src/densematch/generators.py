@@ -7,22 +7,31 @@ the same inputs yields bitwise-identical adjacency rows.  Each output has
 """
 
 from array import array
-from mmap import mmap
+from mmap import PAGESIZE, mmap
+
+try:
+    from mmap import MADV_DONTNEED
+except ImportError:  # no madvise on this platform
+    MADV_DONTNEED = None
 
 import numpy as np
 
-from .graphs import Graph, _as_int, _as_order, complement
+from .graphs import Graph, _as_int, _as_order, _bit_in_byte, complement
 
 # the random triangle-free process visits its first 32*n pairs unfiltered;
 # each later segment, 4x longer than the one before, is filtered against a
 # fresh closed-pair snapshot, so a few snapshots cover every pair
 _FIRST_SEGMENT_PER_VERTEX = 32
 _SEGMENT_GROWTH = 4
-# pairs decoded, filtered and visited at a time, so no temporary outgrows one step
+# pairs filtered, decoded and visited at a time, so no temporary outgrows one step
 _STEP = 1 << 12
+# pairs per block of rows when the codes are built, at least one row
+_CODE_BLOCK = 1 << 15
 # glibc's initial mmap threshold: a smaller buffer comes from the heap in any
 # case, and a map of its own would cost a small build a third of its time
 _MAPPED_CODES_BYTES = 1 << 17
+# visited codes handed back to the system at a time, where it has madvise
+_RELEASE_BYTES = 1 << 18
 
 
 def _alpha_at_most_2_by_construction(g: Graph) -> Graph:
@@ -99,74 +108,117 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     so such a pair would still be rejected at its turn, and a rejected pair
     changes nothing.
 
-    Memory: the order is the lexicographic list of ``uint32`` pair codes
-    ``u << 16 | v``, shuffled in place, 4 bytes per pair in a memory map of
-    its own (the same draws as ``rng.permutation``, so the same order), and
-    a segment's closed-pair snapshot holds 1 bit per pair.  Each segment is
-    decoded, filtered and visited in steps of 2**12 pairs against its one
-    snapshot, so the other temporaries never outgrow a step.
+    Memory: the order is the lexicographic list of flat pair codes
+    ``u * stride + v`` of :func:`_flat_pair_codes`, shuffled in place (the
+    same draws as ``rng.permutation``, so the same order): 3 bytes per pair
+    from n = 257 to 4096 and 4 above, from 128 KiB on in a memory map of its
+    own whose visited pages go back to the system where the platform has
+    madvise.  A segment's closed-pair snapshot holds 1 bit per pair, at that
+    same flat index.  Each segment is read as ``uint32`` codes, filtered
+    against its one snapshot, decoded and visited in steps of 2**12 pairs, so
+    the other temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
     neighbours = [array("I") for _ in range(n)]
-    codes = _pair_codes(n)
+    codes, stride, buffer = _flat_pair_codes(n)
     rng.shuffle(codes)
-    total = len(codes)
+    total, width = len(codes), codes.itemsize
+    # the 4 little-endian bytes from each code's first, the next code's masked off
+    words, mask = np.ndarray(total, "<u4", buffer, 0, (width,)), np.uint32((1 << 8 * width) - 1)
+    release = MADV_DONTNEED is not None and isinstance(buffer, mmap)
+    released = 0
     start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
     while start < total:
         end = min(start + length, total)
         closed = _closed_pairs(n, rows, neighbours) if start else None
         for step in range(start, end, _STEP):
-            pairs = codes[step:min(step + _STEP, end)]
-            us, vs = pairs >> 16, pairs & 0xFFFF
+            count = min(_STEP, end - step)
+            pairs = words[step:step + count] & mask
             if closed is not None:
-                keep = closed[us, vs >> 3] >> (vs & 7) & 1 == 0
-                us, vs = us[keep], vs[keep]
+                pairs = pairs.compress(closed.take(pairs >> 3) & _bit_in_byte(pairs) == 0)
+            us, vs = np.divmod(pairs, stride)
             for u, v in zip(us.tolist(), vs.tolist()):
                 if not rows[u] & rows[v]:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
                     neighbours[u].append(v)
                     neighbours[v].append(u)
+            # hand back the map's pages whose codes have all been visited
+            visited = (step + count) * width // PAGESIZE * PAGESIZE
+            if release and visited - released >= _RELEASE_BYTES:
+                buffer.madvise(MADV_DONTNEED, released, visited - released)
+                released = visited
         # release the snapshot before the next one is built
         closed = None
         start, length = end, length * _SEGMENT_GROWTH
     return _alpha_at_most_2_by_construction(complement(Graph._of_rows(tuple(rows))))
 
 
-def _pair_codes(n: int) -> np.ndarray:
-    """Every pair ``u < v`` as the ``uint32`` code ``u << 16 | v``, lexicographically.
+def _flat_pair_codes(n: int) -> tuple[np.ndarray, int, mmap | bytearray]:
+    """Every pair ``u < v`` as its flat code ``u * stride + v``, lexicographically.
 
-    From ``_MAPPED_CODES_BYTES`` on, the codes live in an anonymous memory map
-    of their own, unmapped when the array goes.  A malloc'd buffer of that
-    size is mapped the first time only: glibc raises its mmap threshold when
-    it frees it, so later builds' codes come from the heap, whose holes later
-    allocations split, and a process keeps megabytes it no longer uses.
+    ``stride = 8 * ceil(n / 8)``, so a code is the pair's bit index in the
+    flat :func:`_closed_pairs` snapshot.  Each code takes the ``width``
+    little-endian bytes that hold ``n * stride - 1``: 1 up to n = 16, 2 up
+    to 256, 3 up to 4096 and 4 up to ``MAX_VERTICES``.  The codes form a
+    ``V{width}`` array, whose shuffle makes the same draws as
+    ``rng.permutation``, so the order does not depend on the width.
+
+    Returns ``(codes, stride, buffer)``.  ``buffer`` holds the codes and
+    ``4 - width`` zero bytes after them, so 4 bytes can be read from every
+    code's first.  From ``_MAPPED_CODES_BYTES`` on, it is an anonymous memory
+    map of its own, unmapped when the array goes; below, a ``bytearray``.  A
+    malloc'd buffer of that size is mapped the first time only: glibc raises
+    its mmap threshold when it frees it, so later builds' codes come from the
+    heap, whose holes later allocations split, and a process keeps megabytes
+    it no longer uses.
     """
+    stride, width = _code_layout(n)
     count = n * (n - 1) // 2
-    if 4 * count < _MAPPED_CODES_BYTES:
-        codes = np.empty(count, dtype=np.uint32)
-    else:
-        codes = np.frombuffer(mmap(-1, 4 * count), dtype=np.uint32)
+    size = width * count + 4 - width
+    buffer = bytearray(size) if width * count < _MAPPED_CODES_BYTES else mmap(-1, size)
+    codes = np.frombuffer(buffer, f"V{width}", count)
+    rows_per_block = max(1, _CODE_BLOCK // n)
     offset = 0
-    for u in range(n - 1):
-        codes[offset:offset + n - 1 - u] = _row_codes(n, u)
-        offset += n - 1 - u
-    return codes
+    for u in range(0, n - 1, rows_per_block):
+        block = _row_block_codes(n, stride, u, min(u + rows_per_block, n - 1)).astype("<u4", copy=False)
+        # the first width bytes of each little-endian uint32
+        codes[offset:offset + len(block)] = np.ndarray(len(block), codes.dtype, block, 0, (4,))
+        offset += len(block)
+    return codes, stride, buffer
 
 
-def _row_codes(n: int, u: int) -> np.ndarray:
-    """The codes of the pairs ``(u, u+1) .. (u, n-1)``; ends below MAX_VERTICES fit 16 bits."""
-    return np.arange((u << 16) + u + 1, (u << 16) + n, dtype=np.uint32)
+def _code_layout(n: int) -> tuple[int, int]:
+    """``(stride, width)``: bits per closed-pair row, ``8 * ceil(n / 8)``, and the
+    bytes that hold every flat code below ``n * stride``."""
+    stride = 8 * ((n + 7) // 8)
+    return stride, ((n * stride - 1).bit_length() + 7) // 8
+
+
+def _row_block_codes(n: int, stride: int, first: int, last: int) -> np.ndarray:
+    """The ``uint32`` codes of rows ``first .. last - 1``, pairs ``(u, u+1) .. (u, n-1)``.
+
+    Row ``u`` has ``n - 1 - u`` pairs and its last ends the block's first
+    ``end[u]``, so pair ``j`` of the block, in row ``u``, is
+    ``(u, n + j - end[u])``: its code is ``j`` plus ``u * stride + n - end[u]``.
+    Below ``MAX_VERTICES`` every code fits 32 bits.
+    """
+    lengths = np.arange(n - 1 - first, n - 1 - last, -1)
+    shifts = np.arange(first * stride + n, last * stride + n, stride) - np.cumsum(lengths)
+    block = np.repeat(shifts.astype(np.uint32), lengths)
+    block += np.arange(len(block), dtype=np.uint32)
+    return block
 
 
 def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
-    """Bit ``v`` of packed row ``u`` is 1 iff ``u`` and ``v`` share a neighbour.
+    """Bit ``u * stride + v`` is 1 iff ``u`` and ``v`` share a neighbour.
 
-    An ``n x ceil(n/8)`` ``uint8`` matrix, 1 bit per pair: row ``u`` is the
-    OR of ``rows[w]`` over the neighbours ``w`` of ``u``, little-endian, and
-    only its bits above ``u`` are read.
+    A flat ``uint8`` array of ``n`` packed rows of ``stride = 8 * ceil(n/8)``
+    bits, 1 bit per pair: row ``u`` is the OR of ``rows[w]`` over the
+    neighbours ``w`` of ``u``, little-endian, and only its bits above ``u``
+    are read.
     """
     width = (n + 7) // 8
     closed = bytearray(n * width)
@@ -175,4 +227,4 @@ def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
         for w in neighbours[u]:
             reach |= rows[w]
         closed[u * width:(u + 1) * width] = reach.to_bytes(width, "little")
-    return np.frombuffer(closed, dtype=np.uint8).reshape(n, width)
+    return np.frombuffer(closed, dtype=np.uint8)

@@ -52,7 +52,17 @@ _SEARCH = weakref.WeakKeyDictionary()
 
 def validate_matching(g: Graph, m: Matching) -> np.ndarray:
     """Raise ValueError unless ``m`` is a matching of ``g``; else return its ends
-    ``u0, v0, u1, v1, ...`` as one ``intp`` array, checked without the numpy rows."""
+    ``u0, v0, u1, v1, ...`` as one ``intp`` array.
+
+    Where ``g``'s 64-bit rows are already built, range, order, reuse and
+    edges are checked over them at once.  Otherwise, and to name the first
+    bad edge of a matching that fails, the edges are walked on the int rows,
+    which builds no numpy rows.
+    """
+    if "_words" in vars(g):
+        ends = _matched_ends(g, m)
+        if ends is not None:
+            return ends
     rows, n = g.rows, g.n
     seen = bytearray(n)
     for u, v in m.edges:  # stored smaller end first
@@ -64,6 +74,25 @@ def validate_matching(g: Graph, m: Matching) -> np.ndarray:
             raise ValueError(f"edge ({u}, {v}) reuses a matched vertex")
         seen[u] = seen[v] = 1
     return np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
+
+
+def _matched_ends(g: Graph, m: Matching) -> np.ndarray | None:
+    """The ends of ``m`` as :func:`validate_matching` returns them if ``m`` is a
+    matching of ``g``, checked on the packed rows; else None."""
+    try:
+        ends = np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
+    except OverflowError:  # an end beyond intp is out of range
+        return None
+    if not m.size:
+        return ends
+    us, vs = ends[0::2], ends[1::2]
+    if us.min() < 0 or vs.max() >= g.n or not (us < vs).all():
+        return None
+    seen = np.zeros(g.n, bool)
+    seen[ends] = True
+    if np.count_nonzero(seen) < len(ends) or not g.has_edges(us, vs).all():
+        return None
+    return ends
 
 
 def _count_unlinked(g: Graph, a: np.ndarray, b: np.ndarray) -> int:

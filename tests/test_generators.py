@@ -10,7 +10,7 @@ from densematch import (Graph, c5_blowup_complement,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
 from densematch import generators
-from densematch.generators import _pair_codes, _row_codes
+from densematch.generators import _code_layout, _flat_pair_codes, _row_block_codes
 from densematch.graphs import MAX_VERTICES, complement
 from helpers import (all_matchings, brute_alpha_at_most_2,
                      reference_random_triangle_free_complement)
@@ -87,6 +87,16 @@ class TestRandomTriangleFreeComplement:
         assert digest.hexdigest() == (
             "37772196377f97f079259f787c8ade4c673f10f2f3043bff2bb33658bab64b28")
 
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_golden_rows_at_code_width_change(self, n):
+        # the last order with 3-byte pair codes and the first with 4-byte ones
+        expected = {
+            4096: "7ee2eade7dcae80683c64a17b198fb10ce8870cb8b2e6800bf217c18abe03125",
+            4097: "35bb50674fc8d872cf70d5f25f8453e8c4bd96023b5b0c7201e22cfc6dd2b9ee",
+        }
+        digest = hashlib.sha256(repr(complement_of_random_triangle_free(n, 11).rows).encode())
+        assert digest.hexdigest() == expected[n]
+
     def test_matches_unfiltered_reference(self):
         # sizes straddle the segment boundaries: n=65 fills exactly one
         # segment of 32*n pairs, n=66 filters only its last 33 pairs
@@ -114,35 +124,64 @@ class TestPairStream:
         np.random.default_rng(seed).shuffle(order)
         assert np.array_equal(order, np.random.default_rng(seed).permutation(total))
 
-    # from n = 257 the codes take 128 KiB or more and live in a map of their own
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 256, 257])
+    # the code width changes after n = 16, 256 and 4096; from n = 297 the
+    # codes take 128 KiB or more and live in a map of their own
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 256, 257, 296, 297, 4096, 4097])
     def test_pair_codes_are_lexicographic(self, n):
-        codes = _pair_codes(n)
-        assert codes.dtype == np.uint32
-        assert codes.tolist() == [(u << 16) | v for u in range(n) for v in range(u + 1, n)]
+        codes, stride, buffer = _flat_pair_codes(n)
+        width = 1 if n <= 16 else 2 if n <= 256 else 3 if n <= 4096 else 4
+        assert (stride, codes.dtype) == (8 * -(-n // 8), np.dtype(f"V{width}"))
+        assert _code_layout(n) == (stride, width)
+        # 4 bytes can be read from the last code's first
+        assert len(buffer) == len(codes) * width + 4 - width
+        assert isinstance(buffer, mmap.mmap) == (len(codes) * width >= 1 << 17)
+        offset = 0
+        for u in range(n - 1):
+            row = np.zeros((n - 1 - u, 4), np.uint8)
+            row[:, :width] = codes[offset:offset + n - 1 - u].view(np.uint8).reshape(-1, width)
+            assert row.view("<u4").ravel().tolist() == list(range(u * stride + u + 1, u * stride + n))
+            offset += n - 1 - u
+        assert offset == len(codes) == n * (n - 1) // 2
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (46, 11), (375, 3), (1600, 11)])
     def test_shuffled_codes_follow_permutation(self, n, seed):
         # shuffle's draws do not read the array, so codes visit pairs in the
         # order rng.permutation gives their lexicographic indices
-        codes = _pair_codes(n)
+        codes = _flat_pair_codes(n)[0]
         shuffled = codes.copy()
         np.random.default_rng(seed).shuffle(shuffled)
-        assert np.array_equal(shuffled, codes[np.random.default_rng(seed).permutation(len(codes))])
+        expected = codes[np.random.default_rng(seed).permutation(len(codes))]
+        assert np.array_equal(shuffled.view(np.uint8), expected.view(np.uint8))
 
-    def test_codes_fit_16_bit_ends(self):
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_code_width_shuffle_follows_permutation(self, width):
+        # the shuffle of 3-byte codes (n <= 4096) and 4-byte ones (above), on
+        # arbitrary bytes, since the 4-byte codes start at 33 MB
+        total, seed = 70_001, 11
+        codes = np.random.default_rng(width).integers(
+            0, 256, total * width, dtype=np.uint8).view(f"V{width}")
+        shuffled = codes.copy()
+        np.random.default_rng(seed).shuffle(shuffled)
+        expected = codes[np.random.default_rng(seed).permutation(total)]
+        assert np.array_equal(shuffled.view(np.uint8), expected.view(np.uint8))
+
+    def test_codes_fit_32_bits(self):
         # the first and last rows at the largest order, without its 8.6 GB array
         n = MAX_VERTICES
-        assert n <= 1 << 16
-        assert _row_codes(n, 0)[[0, -1]].tolist() == [1, n - 1]
-        assert _row_codes(n, n - 2).tolist() == [((n - 2) << 16) | (n - 1)]
+        stride, width = _code_layout(n)
+        assert (stride, width) == (n, 4)
+        assert _row_block_codes(n, stride, 0, 1)[[0, -1]].tolist() == [1, n - 1]
+        last = (n - 2) * stride + n - 1
+        assert _row_block_codes(n, stride, n - 2, n - 1).tolist() == [last]
+        assert last < 1 << 32
 
     def test_peak_memory_per_pair(self, monkeypatch):
-        # 4 bytes of pair codes and 1 bit of snapshot per pair, plus steps
-        # of 2**12 pairs, read 5.9; the 1-byte snapshot with float decoding
-        # and 2**16-pair steps read 11.0 here (8.1 at n=1600).  tracemalloc
-        # does not see the codes' own memory map, live for the whole build,
-        # so its length is added to the traced peak
+        # 3 bytes of pair code and 1 bit of snapshot per pair, plus steps of
+        # 2**12 pairs, read 4.8; 4-byte codes read 5.9, and the 1-byte
+        # snapshot with float decoding and 2**16-pair steps 11.0 (8.1 at
+        # n=1600).  tracemalloc does not see the codes' own memory map, so
+        # its whole length is added to the traced peak, though its visited
+        # pages are released where the platform has madvise
         mapped = []
 
         class CountedMap(mmap.mmap):
@@ -159,7 +198,7 @@ class TestPairStream:
         finally:
             tracemalloc.stop()
         assert len(mapped) == 1
-        assert (peak + sum(mapped)) / (n * (n - 1) // 2) < 7.5
+        assert (peak + sum(mapped)) / (n * (n - 1) // 2) < 5.3
 
 
 class TestC5BlowupComplement:

@@ -72,7 +72,8 @@ class TestNonadjacentPairs:
                 nonadjacent_pairs(g, Matching(pairs))
             assert "packed" not in vars(g) and "_words" not in vars(g)
 
-    def test_invalid_matching_messages_match_reference(self):
+    @staticmethod
+    def _invalid_cases():
         # Matching sorts its edges, and the first bad edge in that order is named
         cases = [
             [(-1, 2)], [(0, 1), (2, 9)], [(0, 1), (2, 3), (4, 5), (6, 8)], [(4, 2**70)],
@@ -90,8 +91,11 @@ class TestNonadjacentPairs:
                          tuple(rng.integers(-3, g.n + 3, 2).tolist()))
             if _error(validate_matching_reference, g, Matching(pairs).edges):
                 cases.append((g, pairs))
+        return cases
+
+    def test_invalid_matching_messages_match_reference(self):
         seen = set()
-        for g, pairs in cases:
+        for g, pairs in self._invalid_cases():
             m = Matching(pairs)
             expected = _error(validate_matching_reference, g, m.edges)
             assert expected is not None
@@ -101,6 +105,26 @@ class TestNonadjacentPairs:
             seen.update(kind for kind in ("invalid edge", "not an edge", "reuses")
                         if kind in expected)
         assert seen == {"invalid edge", "not an edge", "reuses"}
+
+    def test_invalid_matching_messages_match_reference_on_cached_rows(self):
+        # the vectorised check of built rows names the same first bad edge
+        for g, pairs in self._invalid_cases():
+            g._words  # build the 64-bit rows
+            m = Matching(pairs)
+            expected = _error(validate_matching_reference, g, m.edges)
+            assert _error(validate_matching, g, m) == expected
+            assert _error(nonadjacent_pairs, g, m) == expected
+
+    def test_valid_matchings_on_cached_rows_pass_as_walked(self):
+        rng = np.random.default_rng(78)
+        for n in (0, 1, 2, 7, 63, 64, 65, 130):
+            g = random_graph(n, 0.5, rng)
+            for m in (Matching([]), random_matching_of(g, rng)):
+                walked = validate_matching(g, m)
+                g._words  # build the 64-bit rows
+                checked = validate_matching(g, m)
+                assert checked.dtype == walked.dtype == np.intp
+                assert checked.tolist() == walked.tolist() == [x for e in m.edges for x in e]
 
     def test_packed_and_scan_agree_across_byte_boundaries(self):
         for n in (34, 63, 64, 65):
