@@ -29,8 +29,8 @@ class ExtractionParams:
     ratio
         Vertex count over matching size (``n/t``); must be at least 4.
     slack
-        Concentration slack per matching slot; needs ``slack**2 > ratio/t``
-        and ``slack <= ratio/2 - 3/2``.
+        Concentration slack per matching slot, in the window
+        ``(sqrt(ratio/t), ratio/2 - 3/2]``.
     margin
         Guaranteed partition edges per slot, ``(ratio-1)/2 - slack``; the
         slack cap makes this at least 1.
@@ -83,7 +83,7 @@ def optimal_slack(ratio: float, t: int) -> float:
     ``(ratio*(ratio-1)/(2*t))**(1/3)`` is the exact stationary point of the
     bound as a function of the slack.
     """
-    if ratio <= 1:
+    if not ratio > 1:
         raise ParameterError(f"ratio must exceed 1 (got {ratio})")
     t = _check_t(t)
     return (ratio * (ratio - 1.0) / (2.0 * t)) ** (1.0 / 3.0)
@@ -92,18 +92,22 @@ def optimal_slack(ratio: float, t: int) -> float:
 def derive_params(ratio: float, t: int, slack: float) -> ExtractionParams:
     """Check the parameter hypotheses and evaluate every derived value.
 
-    Raises :class:`ParameterError` naming the violated inequality; the usual
-    culprit is a ``t`` too small for the requested ratio.
+    The slack must lie in the window ``(sqrt(ratio/t), ratio/2 - 3/2]``: its
+    square must exceed ``ratio/t`` and it must be positive, so a NaN is
+    refused.  Raises :class:`ParameterError` naming the cause: a ratio below 4
+    (or NaN), a window that is empty (the usual culprit is a ``t`` too small
+    for the ratio), or a slack outside a non-empty window.
     """
     t = _check_t(t)
-    if ratio < 4:
+    if not ratio >= 4:
         raise ParameterError(f"ratio must be at least 4 (got {ratio:.6g})")
-    if not slack * slack > ratio / t:
-        raise ParameterError(
-            f"slack^2 must exceed ratio/t ({slack * slack:.6g} <= {ratio / t:.6g})")
-    if not slack <= ratio / 2 - 1.5:
-        raise ParameterError(
-            f"slack must be at most ratio/2 - 3/2 ({slack:.6g} > {ratio / 2 - 1.5:.6g})")
+    floor, cap = ratio / t, ratio / 2 - 1.5
+    window = f"window (sqrt(ratio/t), ratio/2 - 3/2] = ({math.sqrt(floor):.6g}, {cap:.6g}]"
+    if not cap * cap > floor:
+        raise ParameterError(f"no slack serves ratio {ratio:.6g} at t = {t}: the {window} is empty")
+    if not (slack > 0 and slack * slack > floor and slack <= cap):
+        need = "be at most ratio/2 - 3/2" if slack > cap else "be positive and its square exceed ratio/t"
+        raise ParameterError(f"slack {slack:.6g} lies outside the {window}: it must {need}")
     margin = (ratio - 1.0) / 2.0 - slack
     accept_floor = 1.0 - ratio / (slack * slack * t)
     pick_cap = 1.0 / margin
@@ -120,21 +124,14 @@ def prepare_extraction(g_raw: Graph, t: int) -> tuple[Graph, ExtractionParams]:
     is recomputed from the remaining order, so a graph larger than strictly
     necessary only improves the bound.  The pair bound is unimodal in the
     slack, with its stationary point at :func:`optimal_slack`, so
-    ``min(optimal_slack, ratio/2 - 3/2)`` minimises it over the window
-    ``(sqrt(ratio/t), ratio/2 - 3/2]``.  A ratio of at least 4 whose window is
-    empty is a :class:`ParameterError` naming both ends.
+    ``min(optimal_slack, ratio/2 - 3/2)`` minimises it over the window that
+    :func:`derive_params` checks.
     """
     # dropping row 0 and bit 0 of every other row renumbers each w > 0 to w - 1
     g = Graph._of_rows(tuple(row >> 1 for row in g_raw.rows[1:])) if g_raw.n % 2 else g_raw
     t = _check_t(t)
     ratio = g.n / t
-    cap = ratio / 2 - 1.5
-    # the inequalities derive_params checks, so the capped slack passes them
-    if ratio >= 4 and not cap * cap > ratio / t:
-        raise ParameterError(
-            f"no slack serves ratio {ratio:.6g} at t = {t}: the window (sqrt(ratio/t), "
-            f"ratio/2 - 3/2] = ({math.sqrt(ratio / t):.6g}, {cap:.6g}] is empty")
-    return g, derive_params(ratio, t, min(optimal_slack(ratio, t), cap))
+    return g, derive_params(ratio, t, min(optimal_slack(ratio, t), ratio / 2 - 1.5))
 
 
 def check_run_args(c: float, t: int, trials: int) -> None:

@@ -1,12 +1,14 @@
 """Seeded constructors for graphs whose independence number is at most 2.
 
 Every generator is a pure function of its arguments: calling it twice with
-the same inputs yields bitwise-identical adjacency rows.  Each output has
-α ≤ 2 by construction, so it carries the answer of
+the same inputs yields bitwise-identical adjacency rows.  Each output is the
+complement of a triangle-free graph, built by :func:`_complement_of_triangle_free`,
+so it has α ≤ 2 by construction: it carries the answer of
 :func:`graphs.is_alpha_at_most_2` from the start and is never scanned.
 """
 
 from array import array
+from itertools import accumulate
 from mmap import PAGESIZE, mmap
 
 try:
@@ -16,7 +18,7 @@ except ImportError:  # no madvise on this platform
 
 import numpy as np
 
-from .graphs import Graph, _as_int, _as_order, _bit_in_byte, complement
+from .graphs import Graph, _as_int, _as_order, _bit_in_byte
 
 # the random triangle-free process visits its first 32*n pairs unfiltered;
 # each later segment, 4x longer than the one before, is filtered against a
@@ -34,34 +36,35 @@ _MAPPED_CODES_BYTES = 1 << 17
 _RELEASE_BYTES = 1 << 18
 
 
-def _alpha_at_most_2_by_construction(g: Graph) -> Graph:
-    """``g`` with its α ≤ 2 memo stored, for a graph whose construction proves it."""
+def _complement_of_triangle_free(rows) -> Graph:
+    """Complement of the triangle-free graph with bit rows ``rows``, its α ≤ 2 memo stored.
+
+    A triangle-free graph has no three pairwise adjacent vertices, so its
+    complement has no three pairwise non-adjacent ones.
+    """
+    full = (1 << len(rows)) - 1
+    g = Graph._of_rows(tuple(full ^ row ^ (1 << v) for v, row in enumerate(rows)))
     object.__setattr__(g, "_alpha_at_most_2", True)
     return g
 
 
 def complete_graph(n: int) -> Graph:
-    """The complete graph on ``n`` vertices."""
-    n = _as_order(n, 1)
-    full = (1 << n) - 1
-    return _alpha_at_most_2_by_construction(
-        Graph._of_rows(tuple(full ^ (1 << v) for v in range(n))))
+    """The complete graph on ``n`` vertices, the complement of the empty graph."""
+    return _complement_of_triangle_free([0] * _as_order(n, 1))
 
 
 def two_cliques(s: int) -> Graph:
     """Two disjoint cliques of size ``s`` with no cross edges.
 
-    The independence number is exactly 2 (one vertex per component), and the
-    largest connected matching is markedly smaller than a perfect matching
-    because cross pairs of edges have no edge between them.
+    The complement is the complete bipartite graph K_{s,s}.  The independence
+    number is exactly 2 (one vertex per component), and the largest connected
+    matching is markedly smaller than a perfect matching because cross pairs
+    of edges have no edge between them.
     """
     s = _as_int("s", s)
     _as_order(2 * s, 1)
-    mask_a = (1 << s) - 1
-    mask_b = mask_a << s
-    rows = [mask_a ^ (1 << v) for v in range(s)]
-    rows += [mask_b ^ (1 << v) for v in range(s, 2 * s)]
-    return _alpha_at_most_2_by_construction(Graph._of_rows(tuple(rows)))
+    side = (1 << s) - 1
+    return _complement_of_triangle_free([side << s] * s + [side] * s)
 
 
 def c5_blowup_complement(part_sizes) -> Graph:
@@ -80,19 +83,11 @@ def c5_blowup_complement(part_sizes) -> Graph:
     sizes = [_as_int("part size", s, 1) for s in sizes]
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
-    n = sum(sizes)
-    _as_order(n, 1)
-    offsets = [0]
-    for s in sizes[:4]:
-        offsets.append(offsets[-1] + s)
-    part_masks = [((1 << sizes[i]) - 1) << offsets[i] for i in range(5)]
-    full = (1 << n) - 1
-    rows = []
-    for i in range(5):
-        blow_row = part_masks[(i - 1) % 5] | part_masks[(i + 1) % 5]
-        for v in range(offsets[i], offsets[i] + sizes[i]):
-            rows.append((full ^ blow_row) ^ (1 << v))
-    return _alpha_at_most_2_by_construction(Graph._of_rows(tuple(rows)))
+    ends = list(accumulate(sizes))
+    _as_order(ends[-1], 1)
+    masks = [(1 << end) - (1 << end - s) for s, end in zip(sizes, ends)]
+    return _complement_of_triangle_free([masks[i - 1] | masks[(i + 1) % 5]
+                                         for i, s in enumerate(sizes) for _ in range(s)])
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -153,7 +148,7 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
         # release the snapshot before the next one is built
         closed = None
         start, length = end, length * _SEGMENT_GROWTH
-    return _alpha_at_most_2_by_construction(complement(Graph._of_rows(tuple(rows))))
+    return _complement_of_triangle_free(rows)
 
 
 def _flat_pair_codes(n: int) -> tuple[np.ndarray, int, mmap | bytearray]:

@@ -499,25 +499,35 @@ def connected_matching_number(g: Graph, limit: int = CM_LIMIT) -> int:
 
 
 def _max_bipartite_matching(g: Graph, left, right) -> dict[int, int]:
-    """Maximum matching between ``left`` and ``right`` by augmenting paths."""
+    """Maximum matching between ``left`` and ``right`` by augmenting paths.
+
+    Each left vertex in turn starts a depth-first search that tries its
+    unseen right neighbours in increasing order, following a taken one to
+    its owner.  The search keeps its path on an explicit stack, so a path
+    of any length fits.
+    """
     right_mask = 0
     for v in right:
         right_mask |= 1 << v
     adj = {u: g.rows[u] & right_mask for u in left}
     owner: dict[int, int] = {}
-
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in iter_bits(adj[u]):
-            if v in seen:
+    for root in left:
+        # each step of the path is a left vertex and the right vertex it tries
+        seen, path = 0, [[root, None]]
+        while path:
+            untried = adj[path[-1][0]] & ~seen
+            if not untried:
+                path.pop()
                 continue
-            seen.add(v)
-            if v not in owner or try_augment(owner[v], seen):
-                owner[v] = u
-                return True
-        return False
-
-    for u in left:
-        try_augment(u, set())
+            low = untried & -untried
+            seen |= low
+            v = path[-1][1] = low.bit_length() - 1
+            if v not in owner:
+                # augment: each left vertex on the path takes the one it tries
+                for u, w in path:
+                    owner[w] = u
+                break
+            path.append([owner[v], None])
     return {u: v for v, u in owner.items()}
 
 

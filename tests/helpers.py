@@ -440,3 +440,35 @@ def greedy_clique(g: Graph, rng: np.random.Generator) -> list[int]:
         if all(g.has_edge(v, u) for u in clique):
             clique.append(v)
     return clique
+
+
+def matching_from_clique_recursive(g: Graph, clique) -> Matching:
+    """Reference for :func:`densematch.matching_from_clique`, by recursion.
+
+    Each clique vertex in increasing order starts an augmenting-path search
+    that tries its unseen outside neighbours in increasing order, recursing
+    into the owner of a taken one; leftover clique vertices pair up in
+    order.  The recursion overflows on augmenting paths of about a thousand
+    links.
+    """
+    a = sorted(clique)
+    in_a = set(a)
+    outside = [v for v in range(g.n) if v not in in_a]
+    owner = {}
+
+    def try_augment(u, seen):
+        for v in outside:
+            if not g.has_edge(u, v) or v in seen:
+                continue
+            seen.add(v)
+            if v not in owner or try_augment(owner[v], seen):
+                owner[v] = u
+                return True
+        return False
+
+    for u in a:
+        try_augment(u, set())
+    match_of = {u: v for v, u in owner.items()}
+    leftover = [u for u in a if u not in match_of]
+    return Matching([(u, match_of[u]) for u in a if u in match_of]
+                    + list(zip(leftover[0::2], leftover[1::2])))

@@ -49,6 +49,10 @@ class TestOptimalSlack:
         with pytest.raises(ParameterError):
             optimal_slack(8, 0)
 
+    def test_nan_ratio_is_named(self):
+        with pytest.raises(ParameterError, match=r"ratio must exceed 1 \(got nan\)"):
+            optimal_slack(math.nan, 10)
+
     @pytest.mark.parametrize("t, message", [
         (2.5, "t 2.5 is not an integer"), (8.0, "t 8.0 is not an integer"),
         (True, "t True is not an integer"), (0, r"t must be at least 1 \(got 0\)"),
@@ -90,6 +94,18 @@ class TestDeriveParams:
     def test_slack_floor_violation_is_named(self):
         with pytest.raises(ParameterError, match="exceed ratio/t"):
             derive_params(8.0, 4, 1.0)
+
+    @pytest.mark.parametrize("slack", [-1.0, -0.3, 0.0, math.nan])
+    def test_slack_outside_the_window_is_refused(self, slack):
+        # -1.0 and -0.3 square past ratio/t = 0.08, so the floor test alone
+        # would pass them, with a margin and threshold no partition can meet
+        with pytest.raises(ParameterError, match=re.escape(
+                "outside the window (sqrt(ratio/t), ratio/2 - 3/2] = (0.282843, 2.5]")):
+            derive_params(8.0, 100, slack)
+
+    def test_nan_ratio_is_named(self):
+        with pytest.raises(ParameterError, match=r"ratio must be at least 4 \(got nan\)"):
+            derive_params(math.nan, 100, 0.6)
 
     def test_numpy_t_stored_as_int(self):
         p = derive_params(8.0, np.int64(4), 2.5)

@@ -16,6 +16,11 @@ from helpers import (all_matchings, brute_alpha_at_most_2,
                      reference_random_triangle_free_complement)
 
 
+def _rows_digest(g: Graph) -> str:
+    # pinned so that a rewrite of a generator must reproduce its rows bit for bit
+    return hashlib.sha256(repr(g.rows).encode()).hexdigest()
+
+
 class TestTwoCliques:
     def test_small(self):
         g = two_cliques(3)
@@ -36,6 +41,15 @@ class TestTwoCliques:
         g = two_cliques(4)
         assert not any(u < 4 <= v for u, v in g.edges())
 
+    @pytest.mark.parametrize("s, expected", [
+        (1, "9d37e282dff85f7c8fffc4daf3461561337a4a9da281111f2dbf927b7a99db77"),
+        (4, "182832776c0ea9756b064556d0d95dfafbcb163aac20be3772bad015a4df57b9"),
+        (33, "61e9e5976cb3a11ce5f01a6d5e0e34fa653b01df199a80d9a1450c9d6916febb"),
+        (400, "da23cfd02640b7ed724f580576c44c53535013e881dad674af6b85698d4ff0ef"),
+    ])
+    def test_golden_rows(self, s, expected):
+        assert _rows_digest(two_cliques(s)) == expected
+
 
 class TestCompleteGraph:
     def test_k4(self):
@@ -49,6 +63,17 @@ class TestCompleteGraph:
         for edges in all_matchings(g, max_size=3):
             if len(edges) == 3:
                 assert nonadjacent_pairs(g, Matching(edges)) == 0
+
+    @pytest.mark.parametrize("n, expected", [
+        (1, "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633"),
+        (2, "34e6f08aad18ac9868a9da1b5d2ad0bf2fabf191e92652264ecfc9bde7460695"),
+        (9, "52ac3e8b2f431d8c45bf307d52b04d42733282b83feb1ba88c48b61f3983eed6"),
+        (64, "7684009b0fddc03e384e2aaf88fb11579e813fdfc3b7c3ff9e99240298496397"),
+        (65, "358ac96fb100bb4d577b9ada34e8d57b61857b589acc76a95e316ad23b5a309f"),
+        (1001, "ee141d438d95b5d1f344a2ba8f58ca0a06dda88fc9bd5f6a2074c13136674765"),
+    ])
+    def test_golden_rows(self, n, expected):
+        assert _rows_digest(complete_graph(n)) == expected
 
 
 class TestRandomTriangleFreeComplement:
@@ -228,6 +253,16 @@ class TestC5BlowupComplement:
             c5_blowup_complement([1.5, 1, 1, 1, 1.9])
         assert c5_blowup_complement(np.array([1, 2, 1, 3, 2])) == c5_blowup_complement(
             (1, 2, 1, 3, 2))
+
+    @pytest.mark.parametrize("parts, expected", [
+        ((1, 1, 1, 1, 1), "cbaed4f8bfdc1f2f53bfbb35904a405848c75905be0062e1f3fd60e121d3adbb"),
+        ((2, 1, 3, 1, 2), "4f3cd99bdaa71b9c11c3b0d4ce6e654e0143b44d57bc58ddf219d3ee2eaeb8bc"),
+        ((9, 2, 7, 1, 4), "10ad7f6758bba6f7a2d7777cb78ad5c2f69b487389cc2b08b7bc34622f86fa1c"),
+        ((16, 16, 16, 16, 736),
+         "91e76e09780a2f4bd447b29eea26e66795a944ba017fdaee746f4af09f6d1502"),
+    ])
+    def test_golden_rows(self, parts, expected):
+        assert _rows_digest(c5_blowup_complement(parts)) == expected
 
 
 class TestIntegerArguments:

@@ -19,7 +19,8 @@ from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
                      compatibility_rows_pairwise, connected_matching_number_by_cliques,
                      count_bad_quadruples_enumerated,
                      count_bad_quadruples_naive, count_nonadjacent_pairs_naive,
-                     greedy_clique, min_nonadjacent_matching_plain,
+                     greedy_clique, matching_from_clique_recursive,
+                     min_nonadjacent_matching_plain,
                      random_alpha2_graph, random_graph, random_matching_of,
                      swap_rule_conflicts_pairwise, twin_masks_pairwise,
                      validate_matching_reference, with_twins)
@@ -643,6 +644,42 @@ class TestMatchingFromClique:
             m = matching_from_clique(g, clique)
             validate_matching(g, m)
             assert nonadjacent_pairs(g, m) == 0
+
+    def test_agrees_with_recursive_reference(self):
+        # a clique planted in a sparse graph makes long augmenting paths
+        rng = np.random.default_rng(28)
+        for i in range(150):
+            n = int(rng.integers(2, 90))
+            clique = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            p = float(rng.uniform(0.02, 0.3))
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+            edges |= set(itertools.combinations(sorted(clique), 2))
+            g = from_edge_list(n, edges)
+            assert matching_from_clique(g, clique) == matching_from_clique_recursive(g, clique), i
+        for i in range(60):
+            g = random_alpha2_graph(i, n_max=40)
+            clique = greedy_clique(g, rng)
+            assert matching_from_clique(g, clique) == matching_from_clique_recursive(g, clique), i
+
+    @staticmethod
+    def staircase(links):
+        # clique a_0..a_links; a_i sees b_i and b_(i+1), and a_links sees b_0 only,
+        # so a_links is matched last, along an augmenting path through every a_i
+        a = links + 1
+        edges = list(itertools.combinations(range(a), 2))
+        edges += [(i, a + j) for i in range(links) for j in (i, i + 1)] + [(links, a)]
+        return from_edge_list(2 * a, edges), range(a)
+
+    def test_staircase_agrees_with_reference(self):
+        g, clique = self.staircase(500)
+        assert matching_from_clique(g, clique) == matching_from_clique_recursive(g, clique)
+
+    def test_staircase_path_longer_than_the_recursion_limit(self):
+        g, clique = self.staircase(1200)
+        assert g.n == 2402
+        m = matching_from_clique(g, clique)
+        # the last augment shifts every a_i with i < 1200 from b_i to b_(i+1)
+        assert m == Matching([(i, 1202 + i) for i in range(1200)] + [(1200, 1201)])
 
 
 class TestCliqueBoundAudit:
