@@ -7,7 +7,6 @@ so it has α ≤ 2 by construction: it carries the answer of
 :func:`graphs.is_alpha_at_most_2` from the start and is never scanned.
 """
 
-from array import array
 from itertools import accumulate
 from mmap import PAGESIZE, mmap
 
@@ -20,11 +19,11 @@ import numpy as np
 
 from .graphs import Graph, _as_int, _as_order, _bit_in_byte
 
-# the random triangle-free process visits its first 32*n pairs unfiltered;
-# each later segment, 4x longer than the one before, is filtered against a
-# fresh closed-pair snapshot, so a few snapshots cover every pair
-_FIRST_SEGMENT_PER_VERTEX = 32
-_SEGMENT_GROWTH = 4
+# the random triangle-free process visits its first 8*n pairs unfiltered;
+# each later segment, 2x longer than the one before, is filtered against a
+# fresh closed-pair snapshot, which costs one to_bytes per vertex
+_FIRST_SEGMENT_PER_VERTEX = 8
+_SEGMENT_GROWTH = 2
 # pairs filtered, decoded and visited at a time, so no temporary outgrows one step
 _STEP = 1 << 12
 # pairs per block of rows when the codes are built, at least one row
@@ -101,22 +100,37 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     Past the first segment of the order, pairs whose ends already share a
     neighbour are dropped before the visit.  This is exact: rows only grow,
     so such a pair would still be rejected at its turn, and a rejected pair
-    changes nothing.
+    changes nothing.  The first segment holds 8n pairs and each later one
+    twice the one before; each is filtered against one closed-pair snapshot.
+
+    The snapshot comes from closed rows kept as the process runs: when
+    ``uv`` is accepted, ``closed[u] |= rows[v]`` and ``closed[v] |= rows[u]``,
+    after ``rows`` take the edge.  A pair ``p < q`` is closed, that is its
+    ends share a neighbour, exactly when bit ``q`` of ``closed[p]`` or bit
+    ``p`` of ``closed[q]`` is set.  If ``p`` and ``q`` share the neighbour
+    ``w`` and, say, ``qw`` came after ``pw``, then ``rows[w]`` held ``p``
+    when ``qw`` was accepted, so ``closed[q]`` took bit ``p``.  Conversely, a
+    bit ``x`` of ``closed[u]`` came from ``rows[v]`` for some edge ``uv``, so
+    ``u`` and ``x`` share the neighbour ``v``.  A snapshot is therefore one
+    ``to_bytes`` per closed row, and each step of the order is filtered on
+    its codes ``u * stride + v``, decoded, and filtered again on
+    ``v * stride + u``.
 
     Memory: the order is the lexicographic list of flat pair codes
     ``u * stride + v`` of :func:`_flat_pair_codes`, shuffled in place (the
     same draws as ``rng.permutation``, so the same order): 3 bytes per pair
     from n = 257 to 4096 and 4 above, from 128 KiB on in a memory map of its
     own whose visited pages go back to the system where the platform has
-    madvise.  A segment's closed-pair snapshot holds 1 bit per pair, at that
-    same flat index.  Each segment is read as ``uint32`` codes, filtered
-    against its one snapshot, decoded and visited in steps of 2**12 pairs, so
-    the other temporaries never outgrow a step.
+    madvise.  The closed rows take ``n`` bits per vertex, about 2 bits per
+    pair, and so does the snapshot: the closed rows packed at the codes' flat
+    indices, in one buffer allocated at the first snapshot and reused.  The
+    order is read as ``uint32`` codes in steps of 2**12 pairs, so the other
+    temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
     rng = np.random.default_rng(_as_int("seed", seed, 0))
     rows = [0] * n
-    neighbours = [array("I") for _ in range(n)]
+    closed = [0] * n
     codes, stride, buffer = _flat_pair_codes(n)
     rng.shuffle(codes)
     total, width = len(codes), codes.itemsize
@@ -124,29 +138,32 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     words, mask = np.ndarray(total, "<u4", buffer, 0, (width,)), np.uint32((1 << 8 * width) - 1)
     release = MADV_DONTNEED is not None and isinstance(buffer, mmap)
     released = 0
+    snapshot = None
     start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
     while start < total:
         end = min(start + length, total)
-        closed = _closed_pairs(n, rows, neighbours) if start else None
+        if start:
+            snapshot = _closed_pairs(closed, stride, snapshot)
         for step in range(start, end, _STEP):
             count = min(_STEP, end - step)
             pairs = words[step:step + count] & mask
-            if closed is not None:
-                pairs = pairs.compress(closed.take(pairs >> 3) & _bit_in_byte(pairs) == 0)
+            if snapshot is not None:
+                pairs = pairs.compress(_clear(snapshot, pairs))
             us, vs = np.divmod(pairs, stride)
+            if snapshot is not None:
+                keep = _clear(snapshot, vs * stride + us)
+                us, vs = us.compress(keep), vs.compress(keep)
             for u, v in zip(us.tolist(), vs.tolist()):
                 if not rows[u] & rows[v]:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-                    neighbours[u].append(v)
-                    neighbours[v].append(u)
+                    closed[u] |= rows[v]
+                    closed[v] |= rows[u]
             # hand back the map's pages whose codes have all been visited
             visited = (step + count) * width // PAGESIZE * PAGESIZE
             if release and visited - released >= _RELEASE_BYTES:
                 buffer.madvise(MADV_DONTNEED, released, visited - released)
                 released = visited
-        # release the snapshot before the next one is built
-        closed = None
         start, length = end, length * _SEGMENT_GROWTH
     return _complement_of_triangle_free(rows)
 
@@ -207,19 +224,21 @@ def _row_block_codes(n: int, stride: int, first: int, last: int) -> np.ndarray:
     return block
 
 
-def _closed_pairs(n: int, rows, neighbours) -> np.ndarray:
-    """Bit ``u * stride + v`` is 1 iff ``u`` and ``v`` share a neighbour.
+def _closed_pairs(closed, stride: int, snapshot: np.ndarray | None) -> np.ndarray:
+    """Bit ``u * stride + v`` is bit ``v`` of ``closed[u]``: a flat ``uint8``
+    array of the ``n`` closed rows packed little-endian, ``stride`` bits each.
 
-    A flat ``uint8`` array of ``n`` packed rows of ``stride = 8 * ceil(n/8)``
-    bits, 1 bit per pair: row ``u`` is the OR of ``rows[w]`` over the
-    neighbours ``w`` of ``u``, little-endian, and only its bits above ``u``
-    are read.
+    Writes into ``snapshot`` when one is given, else into a new array.
     """
-    width = (n + 7) // 8
-    closed = bytearray(n * width)
-    for u in range(n - 1):
-        reach = 0
-        for w in neighbours[u]:
-            reach |= rows[w]
-        closed[u * width:(u + 1) * width] = reach.to_bytes(width, "little")
-    return np.frombuffer(closed, dtype=np.uint8)
+    width = stride // 8
+    if snapshot is None:
+        snapshot = np.empty(len(closed) * width, np.uint8)
+    view = memoryview(snapshot)
+    for u, row in enumerate(closed):
+        view[u * width:(u + 1) * width] = row.to_bytes(width, "little")
+    return snapshot
+
+
+def _clear(snapshot: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Whether each of the flat bit indices ``bits`` is 0 in ``snapshot``."""
+    return snapshot.take(bits >> 3) & _bit_in_byte(bits) == 0

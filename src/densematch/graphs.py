@@ -74,6 +74,12 @@ def _int_pairs(pairs) -> list:
     return [tuple(_as_int(f"edge ({u!r}, {v!r}) end", end) for end in (u, v)) for u, v in pairs]
 
 
+def _unsigned(x: np.ndarray) -> np.ndarray:
+    """``x`` viewed with the unsigned dtype of its size when it is signed, so a
+    negative value reads above every vertex; any other ``x`` as it is."""
+    return x.view(x.dtype.str.replace("i", "u")) if x.dtype.kind == "i" else x
+
+
 def _bit_in_byte(v: np.ndarray) -> np.ndarray:
     """Mask selecting vertex ``v`` inside its byte of a packed row."""
     return np.uint8(1) << (v & 7).astype(np.uint8)
@@ -168,7 +174,15 @@ class Graph:
         return self._words.view(np.uint8)[:, :(self.n + 7) // 8]
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Elementwise ``has_edge`` over two equal-shape integer index arrays."""
+        """Elementwise ``has_edge`` over two equal-shape integer index arrays.
+
+        An end outside ``0..n-1`` is an IndexError naming the first such end,
+        in pair order; negative ends do not wrap.
+        """
+        if u.size and np.maximum(_unsigned(u), _unsigned(v)).max() >= self.n:
+            ends = chain.from_iterable(zip(u.ravel().tolist(), v.ravel().tolist()))
+            bad = next(end for end in ends if not 0 <= end < self.n)
+            raise IndexError(f"vertex {bad} outside 0..{self.n - 1}")
         return self.packed[u, v >> 3] & _bit_in_byte(v) != 0
 
     @cached_property

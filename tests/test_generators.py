@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from densematch import (Graph, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
@@ -123,16 +125,24 @@ class TestRandomTriangleFreeComplement:
         assert digest.hexdigest() == expected[n]
 
     def test_matches_unfiltered_reference(self):
-        # sizes straddle the segment boundaries: n=65 fills exactly one
-        # segment of 32*n pairs, n=66 filters only its last 33 pairs
-        for n in (64, 65, 66, 67, 130, 131, 257, 700):
+        # sizes straddle the segment boundaries: n=17 fills exactly the first
+        # segment of 8*n pairs and n=18 filters only its last 9 pairs; n=49
+        # fills exactly the second, of 16*n, and n=50 takes a third snapshot
+        # for its last 25; the others straddle the rows' byte and word ends,
+        # and n=257 has 3-byte codes
+        for n in (17, 18, 49, 50, 64, 65, 66, 67, 130, 131, 257, 700):
             for seed in (0, 1, 2):
                 assert (complement_of_random_triangle_free(n, seed)
                         == reference_random_triangle_free_complement(n, seed)), (n, seed)
 
+    @given(st.integers(1, 150), st.integers(0, 2**32))
+    def test_matches_unfiltered_reference_at_any_seed(self, n, seed):
+        assert (complement_of_random_triangle_free(n, seed)
+                == reference_random_triangle_free_complement(n, seed))
+
     def test_maximality(self):
-        # every non-edge of the triangle-free graph closes a triangle; n=300
-        # takes closed-pair snapshots, which n=24 never reaches
+        # every non-edge of the triangle-free graph closes a triangle; n=24
+        # takes one closed-pair snapshot and n=300 four
         for n in (24, 300):
             g = complement_of_random_triangle_free(n, 3)
             tf = complement(g)
@@ -201,12 +211,13 @@ class TestPairStream:
         assert last < 1 << 32
 
     def test_peak_memory_per_pair(self, monkeypatch):
-        # 3 bytes of pair code and 1 bit of snapshot per pair, plus steps of
-        # 2**12 pairs, read 4.8; 4-byte codes read 5.9, and the 1-byte
-        # snapshot with float decoding and 2**16-pair steps 11.0 (8.1 at
-        # n=1600).  tracemalloc does not see the codes' own memory map, so
-        # its whole length is added to the traced peak, though its visited
-        # pages are released where the platform has madvise
+        # 3 bytes of pair code and about 2 bits each of closed rows and
+        # snapshot per pair, plus steps of 2**12 pairs, read 4.6 (5.3 with
+        # 2**13-pair steps); 4-byte codes read 5.9, and the 1-byte snapshot
+        # with float decoding and 2**16-pair steps 11.0 (8.1 at n=1600).
+        # tracemalloc does not see the codes' own memory map, so its whole
+        # length is added to the traced peak, though its visited pages are
+        # released where the platform has madvise
         mapped = []
 
         class CountedMap(mmap.mmap):

@@ -268,6 +268,27 @@ class TestPackedView:
             u, v = np.divmod(np.arange(n * n), max(n, 1))
             assert g.has_edges(u, v).tolist() == [g.has_edge(*uv) for uv in zip(u.tolist(), v.tolist())]
 
+    @pytest.mark.parametrize("u, v, bad", [
+        ([-1], [4], -1),  # would wrap to row 5
+        ([3], [-4], -4),  # would wrap to byte -1 and read bit 4
+        ([0], [6], 6),  # would read a padding bit
+        ([0], [8], 8),
+        ([1, 2, 7], [0, -1, 0], -1),  # the first bad end, in pair order
+    ])
+    def test_has_edges_refuses_ends_outside_the_graph(self, u, v, bad):
+        g = two_cliques(3)
+        for dtype in (np.int64, np.int32, np.intp):
+            with pytest.raises(IndexError, match=rf"^vertex {bad} outside 0\.\.5$"):
+                g.has_edges(np.array(u, dtype), np.array(v, dtype))
+        if bad >= 0:  # ends of mixed signedness, whose common dtype is a float
+            with pytest.raises(IndexError, match=rf"^vertex {bad} outside 0\.\.5$"):
+                g.has_edges(np.array(u, np.int64), np.array(v, np.uint64))
+
+    def test_has_edges_on_empty_arrays(self):
+        g = two_cliques(3)
+        assert g.has_edges(np.array([], np.intp), np.array([], np.intp)).tolist() == []
+        assert g.has_edges(np.array([3, 0], np.uint16), np.array([4, 1], np.uint8)).tolist() == [True, True]
+
     def test_read_only(self):
         g = two_cliques(5)
         assert not g.packed.flags.writeable
