@@ -8,31 +8,23 @@ so it has α ≤ 2 by construction: it carries the answer of
 """
 
 from itertools import accumulate
-from mmap import PAGESIZE, mmap
-
-try:
-    from mmap import MADV_DONTNEED
-except ImportError:  # no madvise on this platform
-    MADV_DONTNEED = None
 
 import numpy as np
 
 from .graphs import Graph, _as_int, _as_order, _bit_in_byte
 
-# the random triangle-free process visits its first 8*n pairs unfiltered;
-# each later segment, 2x longer than the one before, is filtered against a
-# fresh closed-pair snapshot, which costs one to_bytes per vertex
-_FIRST_SEGMENT_PER_VERTEX = 8
-_SEGMENT_GROWTH = 2
-# pairs filtered, decoded and visited at a time, so no temporary outgrows one step
+# the random triangle-free process draws 8*n pairs in its first batch, which
+# covers every pair up to n = 17; each later batch of draws, and each later
+# segment of the shuffled open pairs, is twice as long as the one before and
+# filtered against a fresh snapshot
+_FIRST_BATCH_PER_VERTEX = 8
+_GROWTH = 2
+# draws stop once fewer than 1/16 of a batch's draws survive its snapshot
+_SWITCH_SURVIVAL = 16
+# pairs drawn, filtered and visited at a time, so no temporary outgrows one step
 _STEP = 1 << 12
-# pairs per block of rows when the codes are built, at least one row
-_CODE_BLOCK = 1 << 15
-# glibc's initial mmap threshold: a smaller buffer comes from the heap in any
-# case, and a map of its own would cost a small build a third of its time
-_MAPPED_CODES_BYTES = 1 << 17
-# visited codes handed back to the system at a time, where it has madvise
-_RELEASE_BYTES = 1 << 18
+# snapshot bits unpacked at a time when the open pairs are listed
+_BAND_BITS = 1 << 16
 
 
 def _complement_of_triangle_free(rows) -> Graph:
@@ -90,153 +82,159 @@ def c5_blowup_complement(part_sizes) -> Graph:
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
-    """Complement of a maximal triangle-free graph grown in seeded random order.
+    """Complement of a maximal triangle-free graph grown by the random triangle-free process.
 
-    All candidate pairs are visited in a uniformly shuffled order; each is
-    added unless it would close a triangle.  Visiting every pair makes the
-    triangle-free graph maximal, so the complement is dense and has
+    Pairs are added one at a time, each uniform over the pairs still open,
+    that is, neither an edge nor closing a triangle, until none is open.  The
+    triangle-free graph is then maximal, so the complement is dense and has
     independence number at most 2.  Deterministic for fixed ``(n, seed)``.
-
-    Past the first segment of the order, pairs whose ends already share a
-    neighbour are dropped before the visit.  This is exact: rows only grow,
-    so such a pair would still be rejected at its turn, and a rejected pair
-    changes nothing.  The first segment holds 8n pairs and each later one
-    twice the one before; each is filtered against one closed-pair snapshot.
-
-    The snapshot comes from closed rows kept as the process runs: when
-    ``uv`` is accepted, ``closed[u] |= rows[v]`` and ``closed[v] |= rows[u]``,
-    after ``rows`` take the edge.  A pair ``p < q`` is closed, that is its
-    ends share a neighbour, exactly when bit ``q`` of ``closed[p]`` or bit
-    ``p`` of ``closed[q]`` is set.  If ``p`` and ``q`` share the neighbour
-    ``w`` and, say, ``qw`` came after ``pw``, then ``rows[w]`` held ``p``
-    when ``qw`` was accepted, so ``closed[q]`` took bit ``p``.  Conversely, a
-    bit ``x`` of ``closed[u]`` came from ``rows[v]`` for some edge ``uv``, so
-    ``u`` and ``x`` share the neighbour ``v``.  A snapshot is therefore one
-    ``to_bytes`` per closed row, and each step of the order is filtered on
-    its codes ``u * stride + v``, decoded, and filtered again on
-    ``v * stride + u``.
-
-    Memory: the order is the lexicographic list of flat pair codes
-    ``u * stride + v`` of :func:`_flat_pair_codes`, shuffled in place (the
-    same draws as ``rng.permutation``, so the same order): 3 bytes per pair
-    from n = 257 to 4096 and 4 above, from 128 KiB on in a memory map of its
-    own whose visited pages go back to the system where the platform has
-    madvise.  The closed rows take ``n`` bits per vertex, about 2 bits per
-    pair, and so does the snapshot: the closed rows packed at the codes' flat
-    indices, in one buffer allocated at the first snapshot and reused.  The
-    order is read as ``uint32`` codes in steps of 2**12 pairs, so the other
-    temporaries never outgrow a step.
     """
     n = _as_order(n, 1)
-    rng = np.random.default_rng(_as_int("seed", seed, 0))
-    rows = [0] * n
-    closed = [0] * n
-    codes, stride, buffer = _flat_pair_codes(n)
-    rng.shuffle(codes)
-    total, width = len(codes), codes.itemsize
-    # the 4 little-endian bytes from each code's first, the next code's masked off
-    words, mask = np.ndarray(total, "<u4", buffer, 0, (width,)), np.uint32((1 << 8 * width) - 1)
-    release = MADV_DONTNEED is not None and isinstance(buffer, mmap)
-    released = 0
-    snapshot = None
-    start, length = 0, _FIRST_SEGMENT_PER_VERTEX * n
-    while start < total:
-        end = min(start + length, total)
-        if start:
-            snapshot = _closed_pairs(closed, stride, snapshot)
-        for step in range(start, end, _STEP):
-            count = min(_STEP, end - step)
-            pairs = words[step:step + count] & mask
-            if snapshot is not None:
-                pairs = pairs.compress(_clear(snapshot, pairs))
-            us, vs = np.divmod(pairs, stride)
-            if snapshot is not None:
-                keep = _clear(snapshot, vs * stride + us)
-                us, vs = us.compress(keep), vs.compress(keep)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                if not rows[u] & rows[v]:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    closed[u] |= rows[v]
-                    closed[v] |= rows[u]
-            # hand back the map's pages whose codes have all been visited
-            visited = (step + count) * width // PAGESIZE * PAGESIZE
-            if release and visited - released >= _RELEASE_BYTES:
-                buffer.madvise(MADV_DONTNEED, released, visited - released)
-                released = visited
-        start, length = end, length * _SEGMENT_GROWTH
-    return _complement_of_triangle_free(rows)
+    seed = _as_int("seed", seed, 0)
+    return _complement_of_triangle_free(
+        _triangle_free_process(n, seed, _FIRST_BATCH_PER_VERTEX * n))
 
 
-def _flat_pair_codes(n: int) -> tuple[np.ndarray, int, mmap | bytearray]:
-    """Every pair ``u < v`` as its flat code ``u * stride + v``, lexicographically.
+def _triangle_free_process(n: int, seed: int, first_batch: int) -> list[int]:
+    """Bit rows of the random triangle-free process on ``n`` vertices, drawn in two phases.
 
-    ``stride = 8 * ceil(n / 8)``, so a code is the pair's bit index in the
-    flat :func:`_closed_pairs` snapshot.  Each code takes the ``width``
-    little-endian bytes that hold ``n * stride - 1``: 1 up to n = 16, 2 up
-    to 256, 3 up to 4096 and 4 up to ``MAX_VERTICES``.  The codes form a
-    ``V{width}`` array, whose shuffle makes the same draws as
-    ``rng.permutation``, so the order does not depend on the width.
+    Phase A draws batches of uniform ordered pairs with ``rng.integers`` over
+    ``n * n`` and keeps those with ``u < v``, so each is uniform over all
+    pairs; the first batch has ``first_batch`` draws, in steps of ``_STEP``.
+    Each batch is filtered against a snapshot of the pairs closed or taken
+    at its start, empty for the first, and the survivors are visited in
+    draw order: a pair is added unless its ends share a neighbour.  Filtering is exact, as rows only grow, so a filtered pair
+    would be rejected at its turn, and a rejected pair changes nothing.  A
+    pair drawn twice has no common neighbour at its second turn either, and
+    adding it again changes nothing.  So each pair added is uniform over the
+    pairs open at its turn.  Phase A ends after a batch of which fewer than
+    1/``_SWITCH_SURVIVAL`` of the draws survived, or before a batch with at
+    least as many draws as there are pairs: at once for n <= 17 with the
+    public first batch of ``8 * n``.
 
-    Returns ``(codes, stride, buffer)``.  ``buffer`` holds the codes and
-    ``4 - width`` zero bytes after them, so 4 bytes can be read from every
-    code's first.  From ``_MAPPED_CODES_BYTES`` on, it is an anonymous memory
-    map of its own, unmapped when the array goes; below, a ``bytearray``.  A
-    malloc'd buffer of that size is mapped the first time only: glibc raises
-    its mmap threshold when it frees it, so later builds' codes come from the
-    heap, whose holes later allocations split, and a process keeps megabytes
-    it no longer uses.
+    Phase B lists every pair open at a fresh snapshot, lexicographically,
+    as ``uint32`` codes ``u * stride + v`` (:func:`_open_pairs`), shuffles
+    the list with ``rng.shuffle``, the same draws as ``rng.permutation``,
+    and visits it in that order.  Greedy over a uniform order, each added
+    pair is again uniform over the pairs open at its turn.  The list is
+    visited in segments, the first ``first_batch`` long and each later one
+    twice the one before, and each later segment is filtered against a
+    fresh snapshot.
+
+    The switch depends only on what came before it, so the graph has the
+    law of the process over a uniform order of all pairs.  When phase A is
+    skipped, the list holds every pair, and its shuffle visits them in the
+    order ``rng.permutation`` gives their lexicographic indices.
+
+    A snapshot comes from closed rows kept as the process runs: when ``uv``
+    is added, ``closed[u] |= rows[v]`` and ``closed[v] |= rows[u]``, after
+    ``rows`` take the edge.  A pair ``p < q`` is closed, that is its ends
+    share a neighbour, exactly when bit ``q`` of ``closed[p]`` or bit ``p``
+    of ``closed[q]`` is set.  If ``p`` and ``q`` share the neighbour ``w``
+    and, say, ``qw`` came after ``pw``, then ``rows[w]`` held ``p`` when
+    ``qw`` was added, so ``closed[q]`` took bit ``p``.  Conversely, a bit
+    ``x`` of ``closed[u]`` came from ``rows[v]`` for some edge ``uv``, so
+    ``u`` and ``x`` share the neighbour ``v``.  The snapshot packs
+    ``closed[u] | rows[u]``, so it marks the edges too, one ``to_bytes``
+    per vertex (:func:`_snapshot`), and a pair is filtered on both of its
+    bits.
+
+    Memory: the closed rows take ``n`` bits per vertex, about 2 bits per
+    pair, and so does the snapshot, one buffer reused by every snapshot.
+    The open list takes 4 bytes per pair open at the switch, about 1/8 of
+    the pairs or fewer, and is built in bands of ``_BAND_BITS`` snapshot
+    bits.  Other temporaries are bounded by a step or a band.
     """
-    stride, width = _code_layout(n)
-    count = n * (n - 1) // 2
-    size = width * count + 4 - width
-    buffer = bytearray(size) if width * count < _MAPPED_CODES_BYTES else mmap(-1, size)
-    codes = np.frombuffer(buffer, f"V{width}", count)
-    rows_per_block = max(1, _CODE_BLOCK // n)
-    offset = 0
-    for u in range(0, n - 1, rows_per_block):
-        block = _row_block_codes(n, stride, u, min(u + rows_per_block, n - 1)).astype("<u4", copy=False)
-        # the first width bytes of each little-endian uint32
-        codes[offset:offset + len(block)] = np.ndarray(len(block), codes.dtype, block, 0, (4,))
-        offset += len(block)
-    return codes, stride, buffer
-
-
-def _code_layout(n: int) -> tuple[int, int]:
-    """``(stride, width)``: bits per closed-pair row, ``8 * ceil(n / 8)``, and the
-    bytes that hold every flat code below ``n * stride``."""
+    rng = np.random.default_rng(seed)
+    rows, closed = [0] * n, [0] * n
     stride = 8 * ((n + 7) // 8)
-    return stride, ((n * stride - 1).bit_length() + 7) // 8
+    snapshot = np.zeros(n * stride // 8, np.uint8)
+    batch = first_batch
+    while batch < n * (n - 1) // 2:
+        survivors = 0
+        for step in range(0, batch, _STEP):
+            us, vs = np.divmod(rng.integers(0, n * n, min(_STEP, batch - step), np.uint32), n)
+            keep = us < vs
+            us, vs = _still_open(snapshot, stride, us.compress(keep), vs.compress(keep))
+            survivors += len(us)
+            _visit(rows, closed, us, vs)
+        _snapshot(rows, closed, snapshot)
+        if survivors * _SWITCH_SURVIVAL < batch:
+            break
+        batch *= _GROWTH
+    # with no pair added every pair is open, and the snapshot need not be read
+    order = _open_pairs(snapshot if any(rows) else None, n, stride)
+    rng.shuffle(order)
+    start, length = 0, first_batch
+    while start < len(order):
+        end = min(start + length, len(order))
+        if start:
+            _snapshot(rows, closed, snapshot)
+        for step in range(start, end, _STEP):
+            us, vs = np.divmod(order[step:min(step + _STEP, end)], stride)
+            if start:
+                us, vs = _still_open(snapshot, stride, us, vs)
+            _visit(rows, closed, us, vs)
+        start, length = end, length * _GROWTH
+    return rows
 
 
-def _row_block_codes(n: int, stride: int, first: int, last: int) -> np.ndarray:
-    """The ``uint32`` codes of rows ``first .. last - 1``, pairs ``(u, u+1) .. (u, n-1)``.
+def _visit(rows: list[int], closed: list[int], us: np.ndarray, vs: np.ndarray) -> None:
+    """Add each pair ``(us[i], vs[i])`` in turn unless its ends share a neighbour."""
+    for u, v in zip(us.tolist(), vs.tolist()):
+        row_u, row_v = rows[u], rows[v]
+        if not row_u & row_v:
+            rows[u] = row_u = row_u | 1 << v
+            rows[v] = row_v = row_v | 1 << u
+            closed[u] |= row_v
+            closed[v] |= row_u
 
-    Row ``u`` has ``n - 1 - u`` pairs and its last ends the block's first
-    ``end[u]``, so pair ``j`` of the block, in row ``u``, is
-    ``(u, n + j - end[u])``: its code is ``j`` plus ``u * stride + n - end[u]``.
+
+def _snapshot(rows: list[int], closed: list[int], snapshot: np.ndarray) -> None:
+    """Write ``closed[u] | rows[u]`` into the flat ``uint8`` array ``snapshot``,
+    the ``n`` rows packed little-endian in ``stride`` bits each, so bit
+    ``u * stride + v`` is bit ``v`` of row ``u``.
+    """
+    width = len(snapshot) // len(rows)
+    view = memoryview(snapshot)
+    for u, (row, closed_row) in enumerate(zip(rows, closed)):
+        view[u * width:(u + 1) * width] = (row | closed_row).to_bytes(width, "little")
+
+
+def _open_pairs(snapshot: np.ndarray | None, n: int, stride: int) -> np.ndarray:
+    """The ``uint32`` codes ``u * stride + v`` of the pairs ``u < v`` clear in
+    ``snapshot`` in both orientations, lexicographically; every pair if
+    ``snapshot`` is None.
+
+    Rows are unpacked in bands of about ``_BAND_BITS`` bits; a band's pairs
+    clear at ``u * stride + v`` are filtered again at ``v * stride + u``.
     Below ``MAX_VERTICES`` every code fits 32 bits.
     """
-    lengths = np.arange(n - 1 - first, n - 1 - last, -1)
-    shifts = np.arange(first * stride + n, last * stride + n, stride) - np.cumsum(lengths)
-    block = np.repeat(shifts.astype(np.uint32), lengths)
-    block += np.arange(len(block), dtype=np.uint32)
-    return block
+    rows_per_band = max(1, _BAND_BITS // stride)
+    bands = [np.empty(0, np.uint32)]
+    for first in range(0, n - 1, rows_per_band):
+        last = min(first + rows_per_band, n - 1)
+        # the diagonal, the pairs below it and the padding past n count as taken
+        taken = np.arange(stride) <= np.arange(first, last)[:, None]
+        taken[:, n:] = True
+        if snapshot is not None:
+            band = snapshot.reshape(n, -1)[first:last]
+            taken |= np.unpackbits(band, axis=1, bitorder="little").view(bool)
+        codes = (np.flatnonzero(~taken) + first * stride).astype(np.uint32)
+        if snapshot is not None:
+            us, vs = np.divmod(codes, stride)
+            codes = codes.compress(_clear(snapshot, vs * stride + us))
+        bands.append(codes)
+    return np.concatenate(bands)
 
 
-def _closed_pairs(closed, stride: int, snapshot: np.ndarray | None) -> np.ndarray:
-    """Bit ``u * stride + v`` is bit ``v`` of ``closed[u]``: a flat ``uint8``
-    array of the ``n`` closed rows packed little-endian, ``stride`` bits each.
-
-    Writes into ``snapshot`` when one is given, else into a new array.
-    """
-    width = stride // 8
-    if snapshot is None:
-        snapshot = np.empty(len(closed) * width, np.uint8)
-    view = memoryview(snapshot)
-    for u, row in enumerate(closed):
-        view[u * width:(u + 1) * width] = row.to_bytes(width, "little")
-    return snapshot
+def _still_open(snapshot: np.ndarray, stride: int, us: np.ndarray,
+                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(us[i], vs[i])`` clear in ``snapshot`` in both orientations."""
+    keep = _clear(snapshot, us * stride + vs)
+    us, vs = us.compress(keep), vs.compress(keep)
+    keep = _clear(snapshot, vs * stride + us)
+    return us.compress(keep), vs.compress(keep)
 
 
 def _clear(snapshot: np.ndarray, bits: np.ndarray) -> np.ndarray:

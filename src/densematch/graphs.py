@@ -183,6 +183,10 @@ class Graph:
             ends = chain.from_iterable(zip(u.ravel().tolist(), v.ravel().tolist()))
             bad = next(end for end in ends if not 0 <= end < self.n)
             raise IndexError(f"vertex {bad} outside 0..{self.n - 1}")
+        return self._has_edges_unchecked(u, v)
+
+    def _has_edges_unchecked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`has_edges` for ends the caller knows lie in ``0..n-1``; none is checked."""
         return self.packed[u, v >> 3] & _bit_in_byte(v) != 0
 
     @cached_property

@@ -31,6 +31,7 @@ one does; :func:`_search` says why.
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def _matched_ends(g: Graph, m: Matching) -> np.ndarray | None:
     """The ends of ``m`` as :func:`validate_matching` returns them if ``m`` is a
     matching of ``g``, checked on the packed rows; else None."""
     try:
-        ends = np.array(m.edges, dtype=np.intp).reshape(2 * m.size)
+        ends = np.fromiter(chain.from_iterable(m.edges), np.intp, 2 * m.size)
     except OverflowError:  # an end beyond intp is out of range
         return None
     if not m.size:
@@ -90,7 +91,7 @@ def _matched_ends(g: Graph, m: Matching) -> np.ndarray | None:
         return None
     seen = np.zeros(g.n, bool)
     seen[ends] = True
-    if np.count_nonzero(seen) < len(ends) or not g.has_edges(us, vs).all():
+    if np.count_nonzero(seen) < len(ends) or not g._has_edges_unchecked(us, vs).all():
         return None
     return ends
 
@@ -544,10 +545,15 @@ def matching_from_clique(g: Graph, clique_a) -> Matching:
     for u in a:
         if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
-    for i, u in enumerate(a):
-        for v in a[i + 1:]:
-            if not g.has_edge(u, v):
-                raise ValueError(f"vertices {u} and {v} are not adjacent; not a clique")
+    mask = 0
+    for u in a:
+        mask |= 1 << u
+    for u in a:
+        # the clique vertices above u that are not its neighbours, lowest first
+        missing = (mask >> u + 1 << u + 1) & ~g.rows[u]
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            raise ValueError(f"vertices {u} and {v} are not adjacent; not a clique")
     in_a = set(a)
     b = [v for v in range(g.n) if v not in in_a]
     match_of = _max_bipartite_matching(g, a, b)

@@ -38,7 +38,7 @@ def sample_edge_heavy_partition(g: Graph, threshold: int, max_attempts: int,
     for attempt in range(1, max_attempts + 1):
         shuffled = rng.permutation(n)
         a, b = shuffled[0::2], shuffled[1::2]
-        in_graph = g.has_edges(a, b)
+        in_graph = g._has_edges_unchecked(a, b)  # a permutation of range(n)
         if np.count_nonzero(in_graph) >= threshold:
             a, b = a[in_graph], b[in_graph]
             return np.column_stack((np.minimum(a, b), np.maximum(a, b))), attempt

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from densematch import (Graph, Matching, c5_blowup_complement,
+from densematch import (Graph, Matching, c5_blowup_complement, generators,
                         complement_of_random_triangle_free, complete_graph,
                         two_cliques)
 from densematch.errors import InfeasibleError
@@ -141,22 +141,99 @@ def pair_inclusion_frequencies(s, e, f, samples: int,
 
 
 def reference_random_triangle_free_complement(n: int, seed: int) -> Graph:
-    """The random triangle-free process with every pair checked in its turn.
+    """The random triangle-free process over a seeded uniform order of all pairs.
 
-    Same seeded permutation of the lexicographic pair indices as the package
-    generator, but pairs come from a plain ``combinations`` table and none is
-    skipped, so the generator's decoding and filtering are both checked.
+    Every pair is visited in the order ``rng.permutation`` gives the
+    lexicographic pair indices, each checked in its turn.  This is the law
+    of the package generator, and its rows exactly where the generator's
+    first batch of draws covers every pair (n <= 17).
     """
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(n), 2))
     rows = [0] * n
-    for i in rng.permutation(len(pairs)).tolist():
-        u, v = pairs[i]
+    _visit_pairs(rows, (pairs[i] for i in rng.permutation(len(pairs)).tolist()))
+    return _complement_of_rows(rows)
+
+
+def reference_triangle_free_draws(n: int, seed: int, first_batch: int | None = None) -> Graph:
+    """The package generator's draws, every pair checked in its turn, no snapshots.
+
+    Makes the generator's ``rng`` calls: batches of ``rng.integers`` over
+    ``n * n`` in steps of ``_STEP`` draws, the first ``first_batch`` long
+    (``8 * n`` by default) and each later one twice the one before, while
+    the first batch does not cover every pair and at least 1/16 of the last
+    batch's draws were pairs ``u < v`` open at its start; then one
+    ``rng.permutation`` of the pairs still open, listed lexicographically.
+    Open pairs are found by row intersections, not by closed-pair rows.
+    """
+    step = generators._STEP
+    first_batch = 8 * n if first_batch is None else first_batch
+    rng = np.random.default_rng(seed)
+    rows = [0] * n
+
+    def is_open(rows, u, v):
+        return not rows[u] >> v & 1 and not rows[u] & rows[v]
+
+    batch = first_batch
+    while batch < n * (n - 1) // 2:
+        at_start = list(rows)
+        drawn = []
+        for done in range(0, batch, step):
+            for d in rng.integers(0, n * n, min(step, batch - done), np.uint32).tolist():
+                u, v = divmod(d, n)
+                if u < v and is_open(at_start, u, v):
+                    drawn.append((u, v))
+        _visit_pairs(rows, drawn)
+        if 16 * len(drawn) < batch:
+            break
+        batch *= 2
+    still_open = [(u, v) for u, v in itertools.combinations(range(n), 2) if is_open(rows, u, v)]
+    _visit_pairs(rows, (still_open[i] for i in rng.permutation(len(still_open)).tolist()))
+    return _complement_of_rows(rows)
+
+
+def _visit_pairs(rows: list[int], pairs) -> None:
+    for u, v in pairs:
         if not rows[u] & rows[v]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    full = (1 << n) - 1
+
+
+def _complement_of_rows(rows: list[int]) -> Graph:
+    full = (1 << len(rows)) - 1
     return Graph(tuple((full ^ row) ^ (1 << v) for v, row in enumerate(rows)))
+
+
+def triangle_free_process_law(n: int) -> dict[frozenset, float]:
+    """Exact law of the random triangle-free process's final graph on ``n`` vertices.
+
+    From each graph the next edge is uniform over the open pairs; the final
+    graphs, as edge sets, map to their probabilities.  Memoised over the
+    reachable triangle-free graphs, so small ``n`` only.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    memo: dict[frozenset, dict[frozenset, float]] = {}
+
+    def law(edges: frozenset) -> dict[frozenset, float]:
+        if edges in memo:
+            return memo[edges]
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        open_pairs = [(u, v) for u, v in pairs
+                      if (u, v) not in edges and not nbrs[u] & nbrs[v]]
+        if not open_pairs:
+            out = {edges: 1.0}
+        else:
+            out = {}
+            for pair in open_pairs:
+                for final, p in law(edges | {pair}).items():
+                    out[final] = out.get(final, 0.0) + p / len(open_pairs)
+        memo[edges] = out
+        return out
+
+    return law(frozenset())
 
 
 def all_matchings(g: Graph, max_size: int | None = None):

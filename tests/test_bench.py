@@ -17,7 +17,7 @@ def test_layers_file_keys(tmp_path):
     assert report["commit"] is None or set(report["commit"]) == {"head", "dirty"}
     assert (report["seed"], report["repeats"], report["sizes"]) == (11, 5, [800])
     generation = report["layers"]["generation"]["800"]
-    assert generation["m"] == 294907
+    assert generation["m"] == 294884
     assert set(generation["build_s"]) == {"median", "q1", "q3", "iqr", "samples"}
     assert len(generation["build_s"]["samples"]) == 5
     assert set(report["peak_rss"]["800"]) == {"mib", "over_import_mib", "bytes_per_pair"}

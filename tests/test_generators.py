@@ -1,21 +1,23 @@
 import hashlib
-import mmap
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from densematch import (Graph, c5_blowup_complement,
                         complement_of_random_triangle_free, complete_graph,
                         connected_matching_number, is_alpha_at_most_2,
                         nonadjacent_pairs, two_cliques, Matching)
 from densematch import generators
-from densematch.generators import _code_layout, _flat_pair_codes, _row_block_codes
+from densematch.generators import _open_pairs, _snapshot, _triangle_free_process
 from densematch.graphs import MAX_VERTICES, complement
 from helpers import (all_matchings, brute_alpha_at_most_2,
-                     reference_random_triangle_free_complement)
+                     reference_random_triangle_free_complement,
+                     reference_triangle_free_draws, triangle_free_process_law)
 
 
 def _rows_digest(g: Graph) -> str:
@@ -105,127 +107,109 @@ class TestRandomTriangleFreeComplement:
         for n, seed in ((2, 3), (7, 5), (64, 9), (65, 1), (129, 2), (1000, 4)):
             digest.update(repr(complement_of_random_triangle_free(n, seed).rows).encode())
         assert digest.hexdigest() == (
-            "c16235195531add01fdc7f332c342a2bafc7c3e53f5250f72075db94cb9ba6a2")
+            "e081a3156b4466b7e040479638755c34a08bc52f3f984aba910ac55fe6ba2caa")
 
     def test_golden_rows_large(self):
-        # n=3200 visits most of its pairs only through the closed-pair filter
+        # n=3200 draws in batches of up to millions of pairs, then lists its open pairs
         digest = hashlib.sha256(
             repr(complement_of_random_triangle_free(3200, 11).rows).encode())
         assert digest.hexdigest() == (
-            "37772196377f97f079259f787c8ade4c673f10f2f3043bff2bb33658bab64b28")
+            "99d8d34a879ab2d7f3ba861e60855cfc9bbda4d40225e4f6923aca65e2ed92d4")
 
     @pytest.mark.parametrize("n", [4096, 4097])
     def test_golden_rows_at_code_width_change(self, n):
-        # the last order with 3-byte pair codes and the first with 4-byte ones
+        # the orders where the rows' bytes fill a 64-bit word exactly and
+        # just overflow it
         expected = {
-            4096: "7ee2eade7dcae80683c64a17b198fb10ce8870cb8b2e6800bf217c18abe03125",
-            4097: "35bb50674fc8d872cf70d5f25f8453e8c4bd96023b5b0c7201e22cfc6dd2b9ee",
+            4096: "b3724be7c126f0a21ea613037cfc4fe5e5213403fbcbfee05b2ce95cd8eaa87e",
+            4097: "2e5e3e0a32e06ffdf30c3d9f2fb0b8697a981683c0a041de59aa11f72ac7ac22",
         }
         digest = hashlib.sha256(repr(complement_of_random_triangle_free(n, 11).rows).encode())
         assert digest.hexdigest() == expected[n]
 
     def test_matches_unfiltered_reference(self):
-        # sizes straddle the segment boundaries: n=17 fills exactly the first
-        # segment of 8*n pairs and n=18 filters only its last 9 pairs; n=49
-        # fills exactly the second, of 16*n, and n=50 takes a third snapshot
-        # for its last 25; the others straddle the rows' byte and word ends,
-        # and n=257 has 3-byte codes
+        # n=17 is the last order whose first batch covers every pair and n=18
+        # the first that draws; n=50 and 700 switch to the open list after a
+        # batch with few survivors; the others straddle the rows' byte and
+        # word ends, and n=257 a band of the open list
         for n in (17, 18, 49, 50, 64, 65, 66, 67, 130, 131, 257, 700):
             for seed in (0, 1, 2):
                 assert (complement_of_random_triangle_free(n, seed)
-                        == reference_random_triangle_free_complement(n, seed)), (n, seed)
+                        == reference_triangle_free_draws(n, seed)), (n, seed)
 
     @given(st.integers(1, 150), st.integers(0, 2**32))
     def test_matches_unfiltered_reference_at_any_seed(self, n, seed):
         assert (complement_of_random_triangle_free(n, seed)
-                == reference_random_triangle_free_complement(n, seed))
+                == reference_triangle_free_draws(n, seed))
 
-    def test_maximality(self):
-        # every non-edge of the triangle-free graph closes a triangle; n=24
-        # takes one closed-pair snapshot and n=300 four
-        for n in (24, 300):
+    @given(st.integers(2, 40), st.integers(0, 2**32), st.integers(1, 50))
+    def test_matches_reference_at_any_first_batch(self, n, seed, first_batch):
+        rows = _triangle_free_process(n, seed, first_batch)
+        assert (generators._complement_of_triangle_free(rows)
+                == reference_triangle_free_draws(n, seed, first_batch))
+
+    def test_small_orders_follow_the_permutation(self):
+        # up to n=17 the first batch covers every pair, so no pair is drawn and
+        # the open list, every pair, is visited in rng.permutation's order
+        for n in range(1, 18):
+            for seed in range(30):
+                assert (complement_of_random_triangle_free(n, seed)
+                        == reference_random_triangle_free_complement(n, seed)), (n, seed)
+
+    @pytest.mark.parametrize("n, first_batch", [(5, 1), (6, 2)])
+    def test_law_of_the_drawn_process(self, n, first_batch):
+        # first batches this small run phase A at these orders, so draws,
+        # snapshots, the switch and the open list all shape the graph; its law
+        # must be that of adding uniform open pairs one at a time
+        law = triangle_free_process_law(n)
+        builds = 20_000
+        seen = Counter()
+        for seed in range(builds):
+            rows = _triangle_free_process(n, seed, first_batch)
+            seen[frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                           if rows[u] >> v & 1)] += 1
+        assert set(seen) <= set(law)
+        graphs = sorted(law, key=law.get)
+        # graphs expected fewer than 5 times share one bin
+        small = [g for g in graphs if law[g] * builds < 5]
+        bins = [[g] for g in graphs if g not in small] + ([small] if small else [])
+        observed = [sum(seen[g] for g in b) for b in bins]
+        expected = [builds * sum(law[g] for g in b) for b in bins]
+        assert stats.chisquare(observed, expected).pvalue >= 1e-3
+
+    def test_edge_counts_match_the_permutation_process(self):
+        # two samples of triangle-free edge counts at n=60, where draws, the
+        # switch and the open list all run, from disjoint seeds
+        n = 60
+        pairs = n * (n - 1) // 2
+        drawn = [pairs - complement_of_random_triangle_free(n, seed).m for seed in range(300)]
+        permuted = [pairs - reference_random_triangle_free_complement(n, seed).m
+                    for seed in range(10_000, 10_300)]
+        assert stats.ks_2samp(drawn, permuted).pvalue >= 1e-3
+
+    def test_maximality(self, monkeypatch):
+        # every non-edge of the triangle-free graph closes a triangle; each
+        # order draws pairs first (n >= 18) and then lists open pairs
+        listed = []
+
+        def open_pairs(*args):
+            order = _open_pairs(*args)
+            listed.append(len(order))
+            return order
+
+        monkeypatch.setattr(generators, "_open_pairs", open_pairs)
+        for n in (24, 300, 1000):
             g = complement_of_random_triangle_free(n, 3)
             tf = complement(g)
             for u, v in g.edges():  # edges of g are exactly the tf non-edges
                 assert tf.rows[u] & tf.rows[v], f"pair ({u}, {v}) was addable"
+        assert len(listed) == 3 and min(listed) > 0
 
-
-class TestPairStream:
-    # the goldens pin rows; these pin the two steps under them on every numpy
-
-    @pytest.mark.parametrize("total, seed", [(1, 0), (1000, 11), (70_001, 3), (1_279_200, 11)])
-    def test_uint32_shuffle_equals_permutation(self, total, seed):
-        order = np.arange(total, dtype=np.uint32)
-        np.random.default_rng(seed).shuffle(order)
-        assert np.array_equal(order, np.random.default_rng(seed).permutation(total))
-
-    # the code width changes after n = 16, 256 and 4096; from n = 297 the
-    # codes take 128 KiB or more and live in a map of their own
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 256, 257, 296, 297, 4096, 4097])
-    def test_pair_codes_are_lexicographic(self, n):
-        codes, stride, buffer = _flat_pair_codes(n)
-        width = 1 if n <= 16 else 2 if n <= 256 else 3 if n <= 4096 else 4
-        assert (stride, codes.dtype) == (8 * -(-n // 8), np.dtype(f"V{width}"))
-        assert _code_layout(n) == (stride, width)
-        # 4 bytes can be read from the last code's first
-        assert len(buffer) == len(codes) * width + 4 - width
-        assert isinstance(buffer, mmap.mmap) == (len(codes) * width >= 1 << 17)
-        offset = 0
-        for u in range(n - 1):
-            row = np.zeros((n - 1 - u, 4), np.uint8)
-            row[:, :width] = codes[offset:offset + n - 1 - u].view(np.uint8).reshape(-1, width)
-            assert row.view("<u4").ravel().tolist() == list(range(u * stride + u + 1, u * stride + n))
-            offset += n - 1 - u
-        assert offset == len(codes) == n * (n - 1) // 2
-
-    @pytest.mark.parametrize("n, seed", [(2, 0), (46, 11), (375, 3), (1600, 11)])
-    def test_shuffled_codes_follow_permutation(self, n, seed):
-        # shuffle's draws do not read the array, so codes visit pairs in the
-        # order rng.permutation gives their lexicographic indices
-        codes = _flat_pair_codes(n)[0]
-        shuffled = codes.copy()
-        np.random.default_rng(seed).shuffle(shuffled)
-        expected = codes[np.random.default_rng(seed).permutation(len(codes))]
-        assert np.array_equal(shuffled.view(np.uint8), expected.view(np.uint8))
-
-    @pytest.mark.parametrize("width", [3, 4])
-    def test_code_width_shuffle_follows_permutation(self, width):
-        # the shuffle of 3-byte codes (n <= 4096) and 4-byte ones (above), on
-        # arbitrary bytes, since the 4-byte codes start at 33 MB
-        total, seed = 70_001, 11
-        codes = np.random.default_rng(width).integers(
-            0, 256, total * width, dtype=np.uint8).view(f"V{width}")
-        shuffled = codes.copy()
-        np.random.default_rng(seed).shuffle(shuffled)
-        expected = codes[np.random.default_rng(seed).permutation(total)]
-        assert np.array_equal(shuffled.view(np.uint8), expected.view(np.uint8))
-
-    def test_codes_fit_32_bits(self):
-        # the first and last rows at the largest order, without its 8.6 GB array
-        n = MAX_VERTICES
-        stride, width = _code_layout(n)
-        assert (stride, width) == (n, 4)
-        assert _row_block_codes(n, stride, 0, 1)[[0, -1]].tolist() == [1, n - 1]
-        last = (n - 2) * stride + n - 1
-        assert _row_block_codes(n, stride, n - 2, n - 1).tolist() == [last]
-        assert last < 1 << 32
-
-    def test_peak_memory_per_pair(self, monkeypatch):
-        # 3 bytes of pair code and about 2 bits each of closed rows and
-        # snapshot per pair, plus steps of 2**12 pairs, read 4.6 (5.3 with
-        # 2**13-pair steps); 4-byte codes read 5.9, and the 1-byte snapshot
-        # with float decoding and 2**16-pair steps 11.0 (8.1 at n=1600).
-        # tracemalloc does not see the codes' own memory map, so its whole
-        # length is added to the traced peak, though its visited pages are
-        # released where the platform has madvise
-        mapped = []
-
-        class CountedMap(mmap.mmap):
-            def __new__(cls, fileno, length, *args, **kwargs):
-                mapped.append(length)
-                return super().__new__(cls, fileno, length, *args, **kwargs)
-
-        monkeypatch.setattr(generators, "mmap", CountedMap)
+    def test_peak_memory_per_pair(self):
+        # about 2 bits each of closed rows and snapshot per pair, 4 bytes per
+        # pair open at the switch, and steps of 2**12 draws and bands of 2**16
+        # snapshot bits read 2.28; shuffled 3-byte codes of every pair read
+        # 4.81 and fail
         n = 800
         tracemalloc.start()
         try:
@@ -233,8 +217,60 @@ class TestPairStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(mapped) == 1
-        assert (peak + sum(mapped)) / (n * (n - 1) // 2) < 5.3
+        assert peak / (n * (n - 1) // 2) < 3.0
+
+
+class TestPairStream:
+    # the open-pair list of the generator's second phase, on every numpy
+
+    @pytest.mark.parametrize("total, seed", [(1, 0), (1000, 11), (70_001, 3), (1_279_200, 11)])
+    def test_uint32_shuffle_equals_permutation(self, total, seed):
+        order = np.arange(total, dtype=np.uint32)
+        np.random.default_rng(seed).shuffle(order)
+        assert np.array_equal(order, np.random.default_rng(seed).permutation(total))
+
+    # a band unpacks 2**16 snapshot bits, so n = 256 and 257 straddle one
+    # row per band, and n = 4096 and 4097 take 16 rows and 15
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 256, 257, 296, 297, 4096, 4097])
+    def test_pair_codes_are_lexicographic(self, n):
+        # on an empty snapshot every pair is open
+        stride = 8 * -(-n // 8)
+        codes = _open_pairs(np.zeros(n * stride // 8, np.uint8), n, stride)
+        assert codes.dtype == np.uint32 and len(codes) == n * (n - 1) // 2
+        offset = 0
+        for u in range(n - 1):
+            row = codes[offset:offset + n - 1 - u]
+            assert row.tolist() == list(range(u * stride + u + 1, u * stride + n))
+            offset += n - 1 - u
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (46, 11), (375, 3), (1600, 11)])
+    def test_shuffled_codes_follow_permutation(self, n, seed):
+        # the open pairs of a random triangle-free snapshot, in both
+        # orientations; the shuffle's draws do not read the array, so codes
+        # visit pairs in the order rng.permutation gives their indices
+        rng = np.random.default_rng(seed)
+        rows = complement(complement_of_random_triangle_free(n, seed)).rows
+        closed = [int(x) for x in rng.integers(0, 1 << min(n, 62), n, dtype=np.int64)]
+        stride = 8 * -(-n // 8)
+        snapshot = np.empty(n * stride // 8, np.uint8)
+        _snapshot(rows, closed, snapshot)
+        codes = _open_pairs(snapshot, n, stride)
+        taken = [(row | c) & ((1 << n) - 1) for row, c in zip(rows, closed)]
+        assert codes.tolist() == [u * stride + v for u in range(n) for v in range(u + 1, n)
+                                  if not taken[u] >> v & 1 and not taken[v] >> u & 1]
+        shuffled = codes.copy()
+        np.random.default_rng(seed).shuffle(shuffled)
+        assert np.array_equal(shuffled, codes[np.random.default_rng(seed).permutation(len(codes))])
+
+    def test_codes_fit_32_bits(self):
+        # the largest order's draws over n * n and its last code, without
+        # its 512 MB snapshot
+        n = MAX_VERTICES
+        stride = 8 * -(-n // 8)
+        assert stride == n
+        draws = np.random.default_rng(0).integers(0, n * n, 1000, np.uint32)
+        assert draws.dtype == np.uint32 and int(draws.max()) >= 1 << 31
+        assert (n - 2) * stride + n - 1 < 1 << 32
 
 
 class TestC5BlowupComplement:

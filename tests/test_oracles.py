@@ -13,7 +13,7 @@ from densematch import (Matching, c5_blowup_complement, clique_bound_audit, cliq
                         min_nonadjacent_matching, nonadjacent_pairs, two_cliques)
 from densematch.errors import InfeasibleError, SizeLimitError
 from densematch import oracles
-from densematch.graphs import Graph, complement, from_edge_list
+from densematch.graphs import Graph, complement, from_edge_list, iter_bits
 from densematch.oracles import BadQuadrupleCount, _compatibility_rows, _incidence_masks, validate_matching
 from helpers import (all_matchings, brute_alpha_at_most_2, brute_clique_number,
                      compatibility_rows_pairwise, connected_matching_number_by_cliques,
@@ -204,8 +204,17 @@ class TestScoringCrossCheck:
                 assert oracles._count_unlinked(g, b[flip], a[flip]) == expect, (name, t)
                 total += expect
             if n > 60:
-                # every family leaves some pairs unlinked at t = n // 2
-                assert total > 0, name
+                # a random pairing of an rtf graph leaves no pair unlinked about one
+                # time in five, so every family also scores one planted unlinked
+                # pair: edges ab and cd on a 4-cycle a-c-b-d of the complement
+                co = complement(base).rows
+                a, b = next((a, b) for a, b in itertools.combinations(range(n), 2)
+                            if (co[a] & co[b]).bit_count() >= 2)
+                c, d = list(iter_bits(co[a] & co[b]))[:2]
+                m = Matching([(a, b), (c, d)])
+                assert count_nonadjacent_pairs_naive(base, m.edges) == 1, name
+                assert nonadjacent_pairs(base, m) == 1, name
+                assert total > 0 or name == "rtf", name
             m = random_matching_of(base, rng)
             assert nonadjacent_pairs(base, m) == count_nonadjacent_pairs_naive(base, m.edges)
 
@@ -621,6 +630,28 @@ class TestMatchingFromClique:
     def test_non_clique_rejected(self):
         with pytest.raises(ValueError, match="not a clique"):
             matching_from_clique(two_cliques(5), [0, 5])
+
+    @pytest.mark.parametrize("g, clique", [
+        pytest.param(two_cliques(5), [7, 0, 5, 1], id="two-cliques"),
+        pytest.param(from_edge_list(6, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4)]),
+                     [4, 3, 2, 1, 0], id="sparse"),
+        pytest.param(c5_blowup_complement((3, 2, 3, 2, 2)), [0, 1, 5, 6, 3, 11], id="c5"),
+    ])
+    def test_non_clique_names_its_first_missing_pair(self, g, clique):
+        # the first pair u < v, in sorted order, that is not an edge
+        a = sorted(clique)
+        u, v = next((u, v) for u, v in itertools.combinations(a, 2) if not g.has_edge(u, v))
+        with pytest.raises(ValueError) as raised:
+            matching_from_clique(g, clique)
+        assert str(raised.value) == f"vertices {u} and {v} are not adjacent; not a clique"
+
+    def test_clique_of_two_parts_of_a_balanced_c5_blowup(self):
+        # parts 0 and 2 form a clique of 2560; part 0 sees part 3 and part 2
+        # sees part 4, so every clique vertex is matched outside it
+        g = c5_blowup_complement([1280] * 5)
+        m = matching_from_clique(g, [*range(0, 1280), *range(2560, 3840)])
+        assert m.size == 2560
+        assert nonadjacent_pairs(g, m) == 0
 
     @pytest.mark.parametrize("clique, message", [
         pytest.param([0.0, 1], "clique vertex 0.0 is not an integer", id="float"),
