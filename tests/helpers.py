@@ -161,8 +161,8 @@ def reference_triangle_free_draws(n: int, seed: int, first_batch: int | None = N
     Makes the generator's ``rng`` calls: batches of ``rng.integers`` over
     ``n * n`` in steps of ``_STEP`` draws, the first ``first_batch`` long
     (``8 * n`` by default) and each later one twice the one before, while
-    the first batch does not cover every pair and at least 1/16 of the last
-    batch's draws were pairs ``u < v`` open at its start; then one
+    a batch has fewer draws than there are pairs and at least 1/16 of the
+    last batch's draws were pairs ``u < v`` open at its start; then one
     ``rng.permutation`` of the pairs still open, listed lexicographically.
     Open pairs are found by row intersections, not by closed-pair rows.
     """
