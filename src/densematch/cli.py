@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import harness
 from .errors import SamplingFailure
-from .extractor import extract_best, prepare_extraction
+from .extractor import extract_best
 from .graphs import format_edge_list, read_edge_list
 from .oracles import (clique_bound_audit, clique_number, connected_matching_number,
                       count_bad_quadruples, min_nonadjacent_matching)
@@ -48,6 +48,8 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.limit is not None and args.op in ("badquads", "audit"):
         raise ValueError(f"--limit applies only to cm, omega and minmatch, not {args.op}")
+    if args.t is not None and args.op in ("cm", "omega", "badquads"):
+        raise ValueError(f"--t applies only to minmatch and audit, not {args.op}")
     g = read_edge_list(args.graph)
     limit = {} if args.limit is None else {"limit": args.limit}
     if args.op == "cm":
@@ -73,9 +75,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_extract(args) -> int:
     g = read_edge_list(args.graph)
-    matching, reports = extract_best(g, args.c, args.t, args.trials, args.seed)
-    _, params = prepare_extraction(g, args.t)
-    best = min(r.nonadjacent_pairs for r in reports)
+    matching, run = extract_best(g, args.c, args.t, args.trials, args.seed)
+    best = min(r.nonadjacent_pairs for r in run.reports)
     doc = {
         "c": args.c,
         "t": args.t,
@@ -83,8 +84,8 @@ def _cmd_extract(args) -> int:
         "seed": args.seed,
         "n": g.n,
         "parity_vertex_deleted": g.n % 2 == 1,
-        "params": dataclasses.asdict(params),
-        "reports": [dataclasses.asdict(r) for r in reports],
+        "params": dataclasses.asdict(run.params),
+        "reports": [dataclasses.asdict(r) for r in run.reports],
         "best_nonadjacent_pairs": best,
         "best_matching": [[u, v] for u, v in matching.edges],
     }

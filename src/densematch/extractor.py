@@ -69,6 +69,35 @@ class TrialReport:
     within_bound: bool
 
 
+@dataclass(frozen=True)
+class ExtractionRun:
+    """Record of one :func:`extract_best` call.
+
+    params
+        The parameters :func:`prepare_extraction` derived, once per call.
+    reports
+        The completed trials' reports in trial order; a trial that raised
+        :class:`SamplingFailure` leaves none.
+    attempts
+        Rejection attempts of every trial, ``max_attempts`` for each one that
+        raised :class:`SamplingFailure`.
+
+    Iterating the record and taking its ``len`` go over ``reports``, because
+    the benchmark unpacks ``matching, reports = extract_best(...)`` and reads
+    the reports so; the change that moves it to ``run.reports`` can drop both.
+    """
+
+    params: ExtractionParams
+    reports: tuple[TrialReport, ...]
+    attempts: int
+
+    def __iter__(self):
+        return iter(self.reports)
+
+    def __len__(self) -> int:
+        return len(self.reports)
+
+
 def _check_t(t) -> int:
     """``t`` as an int at least 1, else a ParameterError with :func:`graphs._as_int`'s text."""
     try:
@@ -196,7 +225,7 @@ def extract_once(g: Graph, params: ExtractionParams, seed: int,
 
 
 def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, list[TrialReport]]:
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Matching, ExtractionRun]:
     """Best of ``trials`` independent extraction trials.
 
     Trial ``index`` runs :func:`extract_once` with the seed
@@ -212,9 +241,8 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     differs from its trial's is a RuntimeError.  Raises an aggregated
     :class:`SamplingFailure` only if every trial exhausts its attempts.
 
-    The reports cover completed trials only: a trial that exhausted its
-    ``max_attempts`` leaves no report, so a caller counting attempts adds
-    ``(trials - len(reports)) * max_attempts`` for the others.
+    The :class:`ExtractionRun` beside the matching holds the parameters, the
+    completed trials' reports and the attempts of every trial.
     """
     check_run_args(c, t, trials)
     _as_int("master_seed", master_seed, 0)
@@ -225,12 +253,15 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     g, params = prepare_extraction(g_raw, t)
     best: tuple[Matching, TrialReport] | None = None
     reports: list[TrialReport] = []
+    attempts = 0
     for index in range(trials):
         try:
             matching, report = extract_once(g, params, trial_seed(master_seed, index), max_attempts)
         except SamplingFailure:
+            attempts += max_attempts
             continue
         reports.append(report)
+        attempts += report.rejection_attempts
         # strictly fewer pairs only, so ties stay with the lowest index
         if best is None or report.nonadjacent_pairs < best[1].nonadjacent_pairs:
             best = matching, report
@@ -245,4 +276,4 @@ def extract_best(g_raw: Graph, c: float, t: int, trials: int, master_seed: int,
     if count != report.nonadjacent_pairs:
         raise RuntimeError(f"trial seed {report.seed} counted {report.nonadjacent_pairs} "
                            f"non-adjacent pairs, its matching has {count}")
-    return matching, reports
+    return matching, ExtractionRun(params, tuple(reports), attempts)

@@ -16,11 +16,12 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .extractor import ExtractionParams, check_run_args, extract_best, prepare_extraction
+from .extractor import ExtractionParams, check_run_args, extract_best
+# unused here, but the benchmark wraps harness.prepare_extraction by name
+from .extractor import prepare_extraction  # noqa: F401
 from .generators import (c5_blowup_complement, complement_of_random_triangle_free,
                          complete_graph, two_cliques)
 from .graphs import Graph, _as_int
-from .sampling import DEFAULT_MAX_ATTEMPTS
 
 FAMILIES = ("two-cliques", "rtf", "c5", "complete")
 
@@ -137,17 +138,13 @@ class ExperimentSummary:
 
 def _summarise(cfg: ExperimentConfig, g: Graph, start: float) -> ExperimentSummary:
     """Extract on ``g`` as ``cfg`` says; ``wall_ms`` runs from ``start``."""
-    _, reports = extract_best(g, cfg.c, cfg.t, cfg.trials, cfg.master_seed)
-    _, params = prepare_extraction(g, cfg.t)
-    counts = [r.nonadjacent_pairs for r in reports]
-    # each trial that raised SamplingFailure spent the whole default budget
-    attempts = (sum(r.rejection_attempts for r in reports)
-                + (cfg.trials - len(reports)) * DEFAULT_MAX_ATTEMPTS)
+    _, run = extract_best(g, cfg.c, cfg.t, cfg.trials, cfg.master_seed)
+    counts = [r.nonadjacent_pairs for r in run.reports]
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentSummary(
         config=cfg,
-        params=params,
-        acceptance_rate=len(reports) / attempts,
+        params=run.params,
+        acceptance_rate=len(run.reports) / run.attempts,
         best=min(counts),
         mean=statistics.fmean(counts),
         median=float(statistics.median(counts)),

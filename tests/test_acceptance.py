@@ -240,10 +240,10 @@ def test_criterion_09_oracle_equivalence():
             if g.n / t <= 4:
                 continue
             try:
-                _, reports = extract_best(g, g.n / t, t, 4, master_seed=i)
+                _, run = extract_best(g, g.n / t, t, 4, master_seed=i)
             except (ParameterError, SamplingFailure):
                 continue
-            best = min(r.nonadjacent_pairs for r in reports)
+            best = min(r.nonadjacent_pairs for r in run.reports)
             if best < exact:
                 checks.append((f"extractor beat the exact minimum on {i}/t={t}", False))
             comparisons += 1

@@ -21,3 +21,12 @@ def test_layers_file_keys(tmp_path):
     assert set(generation["build_s"]) == {"median", "q1", "q3", "iqr", "samples"}
     assert len(generation["build_s"]["samples"]) == 5
     assert set(report["peak_rss"]["800"]) == {"mib", "over_import_mib", "bytes_per_pair"}
+    assert set(report["layers"]) == {"generation", "extraction"}
+    extraction = report["layers"]["extraction"]["800"]
+    assert set(extraction) == {"t", "trials", "attempts_per_trial", "best_nonadjacent_pairs",
+                               "wall_s"}
+    # exact per seed, like m above
+    assert (extraction["t"], extraction["trials"]) == (100, 20)
+    assert (extraction["attempts_per_trial"], extraction["best_nonadjacent_pairs"]) == (1.0, 0)
+    assert set(extraction["wall_s"]) == {"median", "q1", "q3", "iqr", "samples"}
+    assert len(extraction["wall_s"]["samples"]) == 5

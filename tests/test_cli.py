@@ -159,6 +159,13 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "--limit" in err and "cm, omega and minmatch" in err
 
+    @pytest.mark.parametrize("op", ["cm", "omega", "badquads"])
+    def test_t_rejected_where_unused(self, tmp_path, capsys, op):
+        path = self.graph_file(tmp_path, two_cliques(5))
+        code, out, err = run_cli(capsys, "oracle", "--graph", path, "--op", op, "--t", "99")
+        assert code == 2 and out == ""
+        assert err == f"error: --t applies only to minmatch and audit, not {op}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--graph", "/no/such/file",
                                "--op", "cm")

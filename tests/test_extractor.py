@@ -291,8 +291,8 @@ class TestPrepareExtraction:
         g = complement_of_random_triangle_free(100, 1)
         _, params = prepare_extraction(g, 23)
         assert params.slack == 100 / 23 / 2 - 1.5 < optimal_slack(100 / 23, 23)
-        matching, reports = extract_best(g, 4.3, 23, 4, 0)
-        assert matching.size == 23 and len(reports) == 4
+        matching, run = extract_best(g, 4.3, 23, 4, 0)
+        assert matching.size == 23 and len(run.reports) == 4
 
     def test_slack_below_the_cap_is_unchanged(self):
         # the benchmark's and the golden hashes' orders, whose outputs stay pinned
@@ -363,9 +363,9 @@ class TestSelectionProbability:
 class TestExtractBest:
     def test_parity_fix_on_clique(self):
         g = complete_graph(97)
-        matching, reports = extract_best(g, 8.0, 12, 5, master_seed=0)
-        assert len(reports) == 5
-        assert all(r.nonadjacent_pairs == 0 for r in reports)
+        matching, run = extract_best(g, 8.0, 12, 5, master_seed=0)
+        assert len(run.reports) == 5
+        assert all(r.nonadjacent_pairs == 0 for r in run.reports)
         validate_matching(g, matching)  # ids are valid in the original graph
         assert matching.size == 12
 
@@ -389,9 +389,9 @@ class TestExtractBest:
 
     def test_expectation_bound_on_dense_family(self):
         g = complement_of_random_triangle_free(400, 17)
-        matching, reports = extract_best(g, 8.0, 50, 100, master_seed=3)
-        counts = [r.nonadjacent_pairs for r in reports]
-        bound = reports[0].bound
+        matching, run = extract_best(g, 8.0, 50, 100, master_seed=3)
+        counts = [r.nonadjacent_pairs for r in run.reports]
+        bound = run.params.pair_bound
         # the instance satisfies the pair-count premise, so the closed form applies
         pair_count = count_bad_quadruples(g).count // 8
         assert pair_count <= 8 * 50 * 49**3 / 8
@@ -431,7 +431,8 @@ class TestExtractBest:
     @pytest.mark.parametrize("n, graph_seed", [(81, 3), (80, 1)])
     def test_reports_replay_from_their_seed(self, n, graph_seed):
         g = complement_of_random_triangle_free(n, graph_seed)
-        matching, reports = extract_best(g, 8.0, 10, 6, master_seed=7)
+        matching, run = extract_best(g, 8.0, 10, 6, master_seed=7)
+        reports = list(run.reports)
         h, params = prepare_extraction(g, 10)
         replays = [extract_once(h, params, r.seed) for r in reports]
         assert [report for _, report in replays] == reports
@@ -449,9 +450,9 @@ class TestExtractBest:
             return validate_matching(graph, matching)
 
         monkeypatch.setattr(oracles, "validate_matching", spy)
-        matching, reports = extract_best(g, 8.0, 10, 6, master_seed=50)
+        matching, run = extract_best(g, 8.0, 10, 6, master_seed=50)
         assert validated == [(g, matching)]
-        assert nonadjacent_pairs(g, matching) == min(r.nonadjacent_pairs for r in reports)
+        assert nonadjacent_pairs(g, matching) == min(r.nonadjacent_pairs for r in run.reports)
 
     def test_winner_count_mismatch_raises(self, monkeypatch):
         real = extractor._count_unlinked
@@ -488,14 +489,14 @@ class TestExtractBest:
     ])
     def test_odd_order_trials_score_like_the_naive_count(self, g, c, t):
         assert g.n % 2 == 1
-        matching, reports = extract_best(g, c, t, 6, master_seed=9)
+        matching, run = extract_best(g, c, t, 6, master_seed=9)
         h, params = prepare_extraction(g, t)
-        for report in reports:
+        for report in run.reports:
             replay, _ = extract_once(h, params, report.seed)
             assert count_nonadjacent_pairs_naive(h, replay.edges) == report.nonadjacent_pairs
-        best = min(r.nonadjacent_pairs for r in reports)
+        best = min(r.nonadjacent_pairs for r in run.reports)
         assert count_nonadjacent_pairs_naive(g, matching.edges) == best
-        assert any(r.nonadjacent_pairs for r in reports)
+        assert any(r.nonadjacent_pairs for r in run.reports)
 
     def test_every_trial_failing_raises_one_aggregate(self):
         # two K400 hold about 200 partition edges on average, far below the 285 demanded
@@ -517,8 +518,11 @@ class TestExtractBest:
         # failures before and between survivors, and a three-way tie for the minimum
         assert survivors == [1, 2, 3, 4, 6, 7]
         assert [trials[i][1].nonadjacent_pairs for i in survivors] == [4, 4, 3, 4, 3, 3]
-        matching, reports = extract_best(g, 8.0, 4, 8, master_seed=13, max_attempts=1)
-        assert reports == [trials[i][1] for i in survivors]
+        matching, run = extract_best(g, 8.0, 4, 8, master_seed=13, max_attempts=1)
+        assert list(run) == [trials[i][1] for i in survivors]
+        assert run.params == params
+        # one attempt for each of the 6 survivors and the whole budget of 1 for each failure
+        assert run.attempts == 8
         assert matching == trials[3][0]
 
     def test_deterministic(self):
@@ -531,7 +535,7 @@ class TestExtractBest:
         g = complement_of_random_triangle_free(80, 1)
         _, ra = extract_best(g, 8.0, 10, 8, master_seed=11)
         _, rb = extract_best(g, 8.0, 10, 8, master_seed=12)
-        assert [r.seed for r in ra] != [r.seed for r in rb]
+        assert [r.seed for r in ra.reports] != [r.seed for r in rb.reports]
 
     def test_golden_output(self):
         # re-pinned when the pick became the accepted partition's first t
@@ -544,8 +548,9 @@ class TestExtractBest:
         digest = hashlib.sha256()
         for g in graphs:
             for master_seed in range(4):
-                out = extract_best(g, 8.0, 100, 5, master_seed, max_attempts=1000)
-                digest.update(repr(out).encode())
+                matching, run = extract_best(g, 8.0, 100, 5, master_seed, max_attempts=1000)
+                # the pair this returned before the run record, whose digest is pinned
+                digest.update(repr((matching, list(run))).encode())
         assert digest.hexdigest() == (
             "7541b69ae79a6d72824072ef9258d53e32fff295e2053bbb231d2156dc456984")
 
