@@ -2,19 +2,25 @@
 
     python3 bench/layers.py --out FILE [--sizes 800 1600 3200 6400]
 
-Two layers are timed so far, each 5 times in this process, keeping every
+Three layers are timed so far, each 5 times in this process, keeping every
 wall time with their median and interquartile range, so a reader sees what
 the machine can resolve.  Generation builds
 ``complement_of_random_triangle_free(n, 11)`` for each order ``n``;
 extraction runs a 20-trial ``extract_best`` on that graph at ``t = n/8``,
 ``c = 8`` and master seed 11 (the first call also builds the graph's numpy
-rows).  For each ``n`` a fresh process also imports the library, builds
-the graph once and reports its peak resident set (Linux ``VmHWM``), over
-the import baseline too.  The file records the graph's edge count and the
-extraction's attempts per trial and best non-adjacent pair count, all exact
-per seed, the machine (nproc, CPU, Python, numpy) and the git commit,
-marked dirty when tracked files differ from it.  Nothing here is a gate:
-the script asserts no time.
+rows).  The blocks layer runs the same call on the complement of four
+disjoint ``K_{d,d}`` with ``d = t - 1``, the rest of the ``n`` vertices
+universal (8 when ``8`` divides ``n``): there ``n - min_degree`` is ``t``,
+the largest the sampler takes, and the mean pair count approaches the
+abstract's ``1/(c(c-1)^2)`` share of the ``C(t, 2)`` pairs, where rtf
+graphs read about 0.  For each ``n`` a fresh process also imports the
+library, builds the rtf graph once and reports its peak resident set
+(Linux ``VmHWM``), over the import baseline too.  The file records the rtf
+graph's edge count, each extraction's attempts per trial and best
+non-adjacent pair count, and the blocks graph's ``n - min_degree``, mean
+pair count and ``pair_bound``, all exact per seed, with the machine
+(nproc, CPU, Python, numpy) and the git commit, marked dirty when tracked
+files differ from it.  Nothing here is a gate: the script asserts no time.
 
 The library is imported from ``src/`` of the checkout this file sits in.
 """
@@ -36,6 +42,8 @@ sys.path.insert(0, str(SRC))
 import numpy  # noqa: E402
 
 from densematch import complement_of_random_triangle_free, extract_best  # noqa: E402
+from densematch.generators import _blowup_complement  # noqa: E402
+from densematch.graphs import min_degree  # noqa: E402
 
 SIZES = (800, 1600, 3200, 6400)
 SEED = 11
@@ -80,16 +88,31 @@ def generation(n: int) -> tuple:
     return g, {"m": g.m, "build_s": spread(times)}
 
 
-def extraction(g) -> dict:
+def extraction(g) -> tuple:
+    """The last of the timed ``extract_best`` runs on ``g``, and its row."""
     t = g.n // C
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         _, run = extract_best(g, C, t, TRIALS, SEED)
         times.append(time.perf_counter() - start)
-    return {"t": t, "trials": TRIALS, "attempts_per_trial": run.attempts / TRIALS,
-            "best_nonadjacent_pairs": min(r.nonadjacent_pairs for r in run.reports),
-            "wall_s": spread(times)}
+    return run, {"t": t, "trials": TRIALS, "attempts_per_trial": run.attempts / TRIALS,
+                 "best_nonadjacent_pairs": min(r.nonadjacent_pairs for r in run.reports),
+                 "wall_s": spread(times)}
+
+
+def blocks(n: int) -> dict:
+    """The blocks layer's row: :func:`extraction` on the complement of four
+    disjoint K_{d,d}, d = n//8 - 1, and n - 8d universal vertices."""
+    d = n // C - 1
+    # the blow-up of four disjoint edges into parts of d, and of n - 8d isolated parts of 1
+    g = _blowup_complement([1 << (i ^ 1) for i in range(8)] + [0] * (n - 8 * d),
+                           [d] * 8 + [1] * (n - 8 * d))
+    run, row = extraction(g)
+    pairs = [r.nonadjacent_pairs for r in run.reports]
+    return {"d": d, "k": g.n - min_degree(g), **row,
+            "mean_nonadjacent_pairs": sum(pairs) / len(pairs),
+            "pair_bound": run.params.pair_bound}
 
 
 def peak_rss(n: int) -> dict:
@@ -133,18 +156,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.sizes) < MIN_SIZE:
         parser.error(f"every size must be at least {MIN_SIZE}")
-    layers = {"generation": {}, "extraction": {}}
+    layers = {"generation": {}, "extraction": {}, "blocks": {}}
     report = {"machine": machine(), "commit": commit(), "seed": SEED,
               "repeats": REPEATS, "sizes": args.sizes, "layers": layers, "peak_rss": {}}
     for n in args.sizes:
         g, layers["generation"][str(n)] = generation(n)
-        layers["extraction"][str(n)] = extraction(g)
+        _, layers["extraction"][str(n)] = extraction(g)
+        layers["blocks"][str(n)] = row = blocks(n)
         report["peak_rss"][str(n)] = peak_rss(n)
         build = layers["generation"][str(n)]["build_s"]
         extract = layers["extraction"][str(n)]["wall_s"]
         print(f"n={n}: build {build['median']:.3f} s (IQR {build['iqr']:.3f}), extract "
               f"{extract['median']:.3f} s (IQR {extract['iqr']:.3f}), peak RSS "
-              f"{report['peak_rss'][str(n)]['mib']:.1f} MiB", file=sys.stderr)
+              f"{report['peak_rss'][str(n)]['mib']:.1f} MiB; blocks k={row['k']}, mean "
+              f"{row['mean_nonadjacent_pairs']:.1f} pairs against pair_bound "
+              f"{row['pair_bound']:.1f}, extract {row['wall_s']['median']:.3f} s", file=sys.stderr)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -4,7 +4,9 @@ Every generator is a pure function of its arguments: calling it twice with
 the same inputs yields bitwise-identical adjacency rows.  Each output is the
 complement of a triangle-free graph, built by :func:`_complement_of_triangle_free`,
 so it has α ≤ 2 by construction: it carries the answer of
-:func:`graphs.is_alpha_at_most_2` from the start and is never scanned.
+:func:`graphs.is_alpha_at_most_2` from the start and is never scanned.  The
+deterministic families are blow-ups of a small triangle-free base graph, made
+by :func:`_blowup_complement`; each generator names its base.
 """
 
 from itertools import accumulate
@@ -34,28 +36,49 @@ def _complement_of_triangle_free(rows) -> Graph:
     complement has no three pairwise non-adjacent ones.
     """
     full = (1 << len(rows)) - 1
-    g = Graph._of_rows(tuple(full ^ row ^ (1 << v) for v, row in enumerate(rows)))
+    g = Graph._of_rows(tuple([full ^ row ^ (1 << v) for v, row in enumerate(rows)]))
     object.__setattr__(g, "_alpha_at_most_2", True)
     return g
 
 
+def _blowup_complement(base_rows, part_sizes) -> Graph:
+    """Complement of the blow-up of the triangle-free graph with bit rows ``base_rows``.
+
+    Part ``i`` is ``part_sizes[i]`` consecutive vertices, an independent set
+    joined to every vertex of each part ``j`` that bit ``j`` of
+    ``base_rows[i]`` names; the base rows must be symmetric and loop-free.  A
+    triangle of the blow-up would have its three vertices in three pairwise
+    adjacent parts, so the blow-up of a triangle-free base is triangle-free.
+    Sizes are ints, checked by the caller; only their total is checked here,
+    as the order, before any row is built.
+    """
+    _as_order(sum(part_sizes), 1)
+    masks = [(1 << end) - (1 << end - size) for size, end in zip(part_sizes, accumulate(part_sizes))]
+    rows = []
+    for base_row, size in zip(base_rows, part_sizes):
+        # one row per part: the masks of the parts base_row names, lowest bit first
+        row = 0
+        while base_row:
+            row |= masks[(base_row & -base_row).bit_length() - 1]
+            base_row &= base_row - 1
+        rows += [row] * size
+    return _complement_of_triangle_free(rows)
+
+
 def complete_graph(n: int) -> Graph:
-    """The complete graph on ``n`` vertices, the complement of the empty graph."""
-    return _complement_of_triangle_free([0] * _as_order(n, 1))
+    """The complete graph on ``n`` vertices, the complement of a blown-up K1."""
+    return _blowup_complement([0], [_as_int("n", n)])
 
 
 def two_cliques(s: int) -> Graph:
     """Two disjoint cliques of size ``s`` with no cross edges.
 
-    The complement is the complete bipartite graph K_{s,s}.  The independence
-    number is exactly 2 (one vertex per component), and the largest connected
-    matching is markedly smaller than a perfect matching because cross pairs
-    of edges have no edge between them.
+    The complement is the complete bipartite graph K_{s,s}, a blown-up K2.
+    The independence number is exactly 2 (one vertex per component), and the
+    largest connected matching is markedly smaller than a perfect matching
+    because cross pairs of edges have no edge between them.
     """
-    s = _as_int("s", s)
-    _as_order(2 * s, 1)
-    side = (1 << s) - 1
-    return _complement_of_triangle_free([side << s] * s + [side] * s)
+    return _blowup_complement([0b10, 0b01], [_as_int("s", s)] * 2)
 
 
 def c5_blowup_complement(part_sizes) -> Graph:
@@ -68,17 +91,12 @@ def c5_blowup_complement(part_sizes) -> Graph:
     deterministically.
     """
     try:
-        sizes = list(part_sizes)
+        sizes = [_as_int("part size", s, 1) for s in part_sizes]
     except TypeError:
         raise ValueError(f"part sizes {part_sizes!r} are not a sequence") from None
-    sizes = [_as_int("part size", s, 1) for s in sizes]
     if len(sizes) != 5:
         raise ValueError(f"need exactly 5 part sizes, got {len(sizes)}")
-    ends = list(accumulate(sizes))
-    _as_order(ends[-1], 1)
-    masks = [(1 << end) - (1 << end - s) for s, end in zip(sizes, ends)]
-    return _complement_of_triangle_free([masks[i - 1] | masks[(i + 1) % 5]
-                                         for i, s in enumerate(sizes) for _ in range(s)])
+    return _blowup_complement([0b10010, 0b00101, 0b01010, 0b10100, 0b01001], sizes)
 
 
 def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
@@ -89,10 +107,8 @@ def complement_of_random_triangle_free(n: int, seed: int) -> Graph:
     triangle-free graph is then maximal, so the complement is dense and has
     independence number at most 2.  Deterministic for fixed ``(n, seed)``.
     """
-    n = _as_order(n, 1)
-    seed = _as_int("seed", seed, 0)
-    return _complement_of_triangle_free(
-        _triangle_free_process(n, seed, _FIRST_BATCH_PER_VERTEX * n))
+    n, seed = _as_order(n, 1), _as_int("seed", seed, 0)
+    return _complement_of_triangle_free(_triangle_free_process(n, seed, _FIRST_BATCH_PER_VERTEX * n))
 
 
 def _triangle_free_process(n: int, seed: int, first_batch: int) -> list[int]:
@@ -218,8 +234,7 @@ def _open_pairs(snapshot: np.ndarray | None, n: int, stride: int) -> np.ndarray:
         taken = np.arange(stride) <= np.arange(first, last)[:, None]
         taken[:, n:] = True
         if snapshot is not None:
-            band = snapshot.reshape(n, -1)[first:last]
-            taken |= np.unpackbits(band, axis=1, bitorder="little").view(bool)
+            taken |= np.unpackbits(snapshot.reshape(n, -1)[first:last], axis=1, bitorder="little").view(bool)
         codes = (np.flatnonzero(~taken) + first * stride).astype(np.uint32)
         if snapshot is not None:
             us, vs = np.divmod(codes, stride)

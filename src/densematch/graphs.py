@@ -40,12 +40,15 @@ def _as_int(name: str, value, least: int | None = None) -> int:
     ``least`` is given, a smaller value is a ValueError naming ``name``, the
     bound and the value.
     """
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if type(value) is int:  # exactly int, so never a bool: the common case, checked first
+        number = value
+    else:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            number = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} {value!r} is not an integer") from None
     if least is not None and number < least:
         bound = "be nonnegative" if least == 0 else f"be at least {least}"
         raise ValueError(f"{name} must {bound} (got {number})")
@@ -135,7 +138,7 @@ class Graph:
         loop-free and inside ``0..n-1`` by construction; no check is made."""
         g = object.__new__(cls)
         object.__setattr__(g, "rows", rows)
-        object.__setattr__(g, "m", sum(row.bit_count() for row in rows) // 2)
+        object.__setattr__(g, "m", sum(map(int.bit_count, rows)) // 2)
         return g
 
     @cached_property

@@ -140,6 +140,16 @@ def pair_inclusion_frequencies(s, e, f, samples: int,
     return count_e / samples, count_both / samples
 
 
+def blowup_complement_pairwise(base_rows, part_sizes) -> Graph:
+    """Complement of a blow-up, pair by pair: part ``i`` is the next
+    ``part_sizes[i]`` vertices, and distinct ``u`` and ``v`` are adjacent iff
+    their parts are not adjacent in the base, whose bit rows are ``base_rows``."""
+    part = [i for i, size in enumerate(part_sizes) for _ in range(size)]
+    edges = [(u, v) for u, v in itertools.combinations(range(len(part)), 2)
+             if not (base_rows[part[u]] >> part[v]) & 1]
+    return from_edge_list(len(part), edges)
+
+
 def reference_random_triangle_free_complement(n: int, seed: int) -> Graph:
     """The random triangle-free process over a seeded uniform order of all pairs.
 

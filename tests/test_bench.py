@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
@@ -21,7 +23,7 @@ def test_layers_file_keys(tmp_path):
     assert set(generation["build_s"]) == {"median", "q1", "q3", "iqr", "samples"}
     assert len(generation["build_s"]["samples"]) == 5
     assert set(report["peak_rss"]["800"]) == {"mib", "over_import_mib", "bytes_per_pair"}
-    assert set(report["layers"]) == {"generation", "extraction"}
+    assert set(report["layers"]) == {"generation", "extraction", "blocks"}
     extraction = report["layers"]["extraction"]["800"]
     assert set(extraction) == {"t", "trials", "attempts_per_trial", "best_nonadjacent_pairs",
                                "wall_s"}
@@ -30,3 +32,14 @@ def test_layers_file_keys(tmp_path):
     assert (extraction["attempts_per_trial"], extraction["best_nonadjacent_pairs"]) == (1.0, 0)
     assert set(extraction["wall_s"]) == {"median", "q1", "q3", "iqr", "samples"}
     assert len(extraction["wall_s"]["samples"]) == 5
+    blocks = report["layers"]["blocks"]["800"]
+    assert set(blocks) == {"d", "k", "t", "trials", "attempts_per_trial", "best_nonadjacent_pairs",
+                           "mean_nonadjacent_pairs", "pair_bound", "wall_s"}
+    # exact per seed: k = t, the largest n - min_degree the sampler takes, and a
+    # mean pair count that moves with the sampling and the scoring
+    assert (blocks["d"], blocks["k"], blocks["t"], blocks["trials"]) == (99, 100, 100, 20)
+    assert (blocks["attempts_per_trial"], blocks["best_nonadjacent_pairs"],
+            blocks["mean_nonadjacent_pairs"]) == (1.0, 0, 9.4)
+    assert blocks["pair_bound"] == pytest.approx(23.1399, abs=1e-4)
+    assert set(blocks["wall_s"]) == {"median", "q1", "q3", "iqr", "samples"}
+    assert len(blocks["wall_s"]["samples"]) == 5

@@ -15,7 +15,7 @@ from densematch import (Graph, c5_blowup_complement,
 from densematch import generators
 from densematch.generators import _open_pairs, _snapshot, _triangle_free_process
 from densematch.graphs import MAX_VERTICES, complement
-from helpers import (all_matchings, brute_alpha_at_most_2,
+from helpers import (all_matchings, blowup_complement_pairwise, brute_alpha_at_most_2,
                      reference_random_triangle_free_complement,
                      reference_triangle_free_draws, triangle_free_process_law)
 
@@ -312,6 +312,50 @@ class TestC5BlowupComplement:
         assert _rows_digest(c5_blowup_complement(parts)) == expected
 
 
+def _cycle(length: int) -> list[int]:
+    """Bit rows of the cycle on ``length`` vertices."""
+    return [1 << (i - 1) % length | 1 << (i + 1) % length for i in range(length)]
+
+
+def _blocks(d: int, universal: int) -> Graph:
+    """Complement of four disjoint K_{d,d} with ``universal`` vertices joined to all."""
+    return generators._blowup_complement([1 << (i ^ 1) for i in range(8)] + [0] * universal,
+                                         [d] * 8 + [1] * universal)
+
+
+class TestBlowupComplement:
+    @staticmethod
+    def random_base(rng: np.random.Generator) -> list[int]:
+        """A random triangle-free base: a bipartite graph, a matching, C5 or C7."""
+        kind = int(rng.integers(4))
+        if kind >= 2:
+            return _cycle(5 + 2 * (kind - 2))
+        p = int(rng.integers(1, 9))
+        rows = [0] * p
+        if kind == 0:
+            side = rng.integers(2, size=p)
+            pairs = [(i, j) for i in range(p) for j in range(i + 1, p)
+                     if side[i] != side[j] and rng.random() < 0.5]
+        else:
+            order = rng.permutation(p).tolist()
+            pairs = list(zip(order[0::2], order[1::2]))[:int(rng.integers(p // 2 + 1))]
+        for i, j in pairs:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return rows
+
+    def test_matches_pairwise_reference(self):
+        rng = np.random.default_rng(32)
+        for case in range(300):
+            base = self.random_base(rng)
+            assert not any(base[i] & base[j] for i in range(len(base))
+                           for j in range(len(base)) if base[i] >> j & 1), base
+            sizes = [int(x) for x in rng.integers(1, 7, size=len(base))]
+            g = generators._blowup_complement(base, sizes)
+            assert g == blowup_complement_pairwise(base, sizes), (case, base, sizes)
+            assert vars(g)["_alpha_at_most_2"] is True
+
+
 class TestIntegerArguments:
     @pytest.mark.parametrize("build, message", [
         pytest.param(lambda: complete_graph(3.0), "n 3.0 is not an integer", id="complete-n"),
@@ -358,13 +402,14 @@ class TestFamilyInvariants:
             n = int(rng.integers(1, 61))
             parts = tuple(1 + int(x) for x in rng.integers(0, 12, size=5))
             for g in (complement_of_random_triangle_free(n, i), two_cliques(max(1, n // 2)),
-                      complete_graph(n), c5_blowup_complement(parts)):
+                      complete_graph(n), c5_blowup_complement(parts),
+                      _blocks(1 + n // 16, n % 9)):
                 # the stored answer must agree with the scan of an untrusted copy
                 assert is_alpha_at_most_2(g) and is_alpha_at_most_2(Graph(g.rows)), (i, g.n)
 
     def test_alpha_memo_stored_by_construction(self):
         for g in (complement_of_random_triangle_free(30, 2), two_cliques(4),
-                  complete_graph(9), c5_blowup_complement((2, 1, 3, 1, 2))):
+                  complete_graph(9), c5_blowup_complement((2, 1, 3, 1, 2)), _blocks(4, 8)):
             assert vars(g)["_alpha_at_most_2"] is True
             assert "_alpha_at_most_2" not in vars(Graph(g.rows))
 
