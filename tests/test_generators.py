@@ -312,11 +312,6 @@ class TestC5BlowupComplement:
         assert _rows_digest(c5_blowup_complement(parts)) == expected
 
 
-def _cycle(length: int) -> list[int]:
-    """Bit rows of the cycle on ``length`` vertices."""
-    return [1 << (i - 1) % length | 1 << (i + 1) % length for i in range(length)]
-
-
 def _blocks(d: int, universal: int) -> Graph:
     """Complement of four disjoint K_{d,d} with ``universal`` vertices joined to all."""
     return generators._blowup_complement([1 << (i ^ 1) for i in range(8)] + [0] * universal,
@@ -329,7 +324,8 @@ class TestBlowupComplement:
         """A random triangle-free base: a bipartite graph, a matching, C5 or C7."""
         kind = int(rng.integers(4))
         if kind >= 2:
-            return _cycle(5 + 2 * (kind - 2))
+            length = 5 + 2 * (kind - 2)
+            return [1 << (i - 1) % length | 1 << (i + 1) % length for i in range(length)]
         p = int(rng.integers(1, 9))
         rows = [0] * p
         if kind == 0:
